@@ -12,7 +12,7 @@ fn bench_scenario() -> Scenario {
 
 fn run(config: EngineConfig, scenario: &Scenario) -> u64 {
     let catalog = scenario.workload_schema().build_catalog();
-    let mut engine = RJoinEngine::new(config, catalog, scenario.nodes);
+    let mut engine = RJoinEngine::simulated(config, catalog, scenario.nodes);
     let origins: Vec<_> = engine.node_ids().to_vec();
     for (i, q) in scenario.generate_queries().into_iter().enumerate() {
         engine.submit_query(origins[i % origins.len()], q).unwrap();
@@ -22,24 +22,6 @@ fn run(config: EngineConfig, scenario: &Scenario) -> u64 {
         engine.publish_tuple(origins[i % origins.len()], t).unwrap();
     }
     engine.run_until_quiescent().unwrap();
-    engine.total_qpl()
-}
-
-/// Same workload, drained through `run_until_quiescent_parallel` — the
-/// single global queue for `shards == 1`, the sharded event-queue runtime
-/// otherwise.
-fn run_parallel(config: EngineConfig, scenario: &Scenario) -> u64 {
-    let catalog = scenario.workload_schema().build_catalog();
-    let mut engine = RJoinEngine::new(config, catalog, scenario.nodes);
-    let origins: Vec<_> = engine.node_ids().to_vec();
-    for (i, q) in scenario.generate_queries().into_iter().enumerate() {
-        engine.submit_query(origins[i % origins.len()], q).unwrap();
-    }
-    engine.run_until_quiescent_parallel().unwrap();
-    for (i, t) in scenario.generate_tuples(engine.now() + 1).into_iter().enumerate() {
-        engine.publish_tuple(origins[i % origins.len()], t).unwrap();
-    }
-    engine.run_until_quiescent_parallel().unwrap();
     engine.total_qpl()
 }
 
@@ -91,72 +73,33 @@ fn bench_window_sizes(c: &mut Criterion) {
 
 /// The sharded event-queue runtime on the cascade-heavy standard workload
 /// (3-join chain queries whose rewrites hop Eval/Index chains across the
-/// ring): the single-queue driver versus per-shard clocks at 2/4/8 shards.
-/// On a multicore host the shards run on persistent worker threads; on a
-/// single core the same shard structures are driven cooperatively.
+/// ring) at 2/4/8 shards; `placement_strategy/ric_aware` is the same
+/// workload on the single queue. On a multicore host the shards run on
+/// persistent worker threads; on a single core the same shard structures
+/// are driven cooperatively.
 fn bench_sharding_runtime(c: &mut Criterion) {
     let scenario = bench_scenario();
     let mut group = c.benchmark_group("sharding_runtime");
     group.sample_size(10);
-    group.bench_function("single_queue", |b| {
-        b.iter(|| run_parallel(EngineConfig::default(), &scenario))
-    });
     for shards in [2usize, 4, 8] {
         group.bench_with_input(
             BenchmarkId::from_parameter(format!("shards{shards}")),
             &shards,
-            |b, &shards| {
-                b.iter(|| run_parallel(EngineConfig::default().with_shards(shards), &scenario))
-            },
+            |b, &shards| b.iter(|| run(EngineConfig::default().with_shards(shards), &scenario)),
         );
     }
     group.finish();
 }
 
-/// The overlapping multi-query workload driven by `run` (20 sub-join
-/// patterns shared by 300 queries, the workload where the fingerprint-keyed
-/// program cache sees the most reuse).
-fn run_overlap(config: EngineConfig, scenario: &Scenario) -> u64 {
-    let catalog = scenario.workload_schema().build_catalog();
-    let mut engine = RJoinEngine::new(config, catalog, scenario.nodes);
-    let origins: Vec<_> = engine.node_ids().to_vec();
-    for (i, q) in scenario.generate_overlapping_queries(20).into_iter().enumerate() {
-        engine.submit_query(origins[i % origins.len()], q).unwrap();
-    }
-    engine.run_until_quiescent().unwrap();
-    for (i, t) in scenario.generate_tuples(engine.now() + 1).into_iter().enumerate() {
-        engine.publish_tuple(origins[i % origins.len()], t).unwrap();
-    }
-    engine.run_until_quiescent().unwrap();
-    engine.total_qpl()
-}
-
-/// The compiled predicate-program hot loop versus the rewrite interpreter
-/// it replaces, on the overlapping workload: `interpreted` walks the AST
-/// per (tuple, stored query) pair, `compiled` executes the flat programs
-/// cached by sub-join fingerprint.
-fn bench_compiled_predicates(c: &mut Criterion) {
-    let scenario = bench_scenario();
-    let mut group = c.benchmark_group("compiled");
-    group.sample_size(10);
-    group.bench_function("interpreted", |b| {
-        b.iter(|| run_overlap(EngineConfig::default().with_compiled_predicates(false), &scenario))
-    });
-    group
-        .bench_function("compiled", |b| b.iter(|| run_overlap(EngineConfig::default(), &scenario)));
-    group.finish();
-}
-
 /// The long-horizon `scale` workload — a reduced cut of
-/// [`Scenario::scale_test`], in lockstep with `bench_json` so the JSON
-/// numbers stay comparable: thousands of overlapping windowed queries
+/// [`Scenario::scale_test`]: thousands of overlapping windowed queries
 /// (50 per shared sub-join pattern) over a publication horizon of ~125
 /// window-lengths, with sharing and the ALTT on so all three state
 /// families carry expiry pressure.
 fn run_scale(config: EngineConfig) -> u64 {
     let scenario = Scenario { nodes: 256, queries: 2_000, tuples: 8_000, ..Scenario::scale_test() };
     let catalog = scenario.workload_schema().build_catalog();
-    let mut engine = RJoinEngine::new(config, catalog, scenario.nodes);
+    let mut engine = RJoinEngine::simulated(config, catalog, scenario.nodes);
     let origins: Vec<_> = engine.node_ids().to_vec();
     for (i, q) in
         scenario.generate_overlapping_queries(scenario.queries / 50).into_iter().enumerate()
@@ -171,11 +114,12 @@ fn run_scale(config: EngineConfig) -> u64 {
     engine.total_qpl()
 }
 
-/// Timer-wheel expiry (`engine`, the default) versus the contact-sweep
-/// oracle (`sweep`) on the scale workload. Both modes answer identically;
-/// the delta is the price of O(active) *memory* — sweep mode reclaims only
-/// on contact, so state at rings the workload stops touching survives the
-/// whole horizon (~70× the wheel's live stored-query count on this cut),
+/// Timer-wheel expiry (`engine`, the default) versus the contact-driven
+/// sweep (`sweep`) on the scale workload, which publishes every tuple at
+/// or after the clock, so both modes answer identically; the delta is the
+/// price of O(active) *memory* — sweep mode reclaims only on contact, so
+/// state at rings the workload stops touching survives the whole horizon
+/// (~70× the wheel's live stored-query count on this cut),
 /// while the wheel pays a per-delivery advance plus a pop per deadline to
 /// keep peak state proportional to what can still trigger.
 fn bench_scale(c: &mut Criterion) {
@@ -187,27 +131,11 @@ fn bench_scale(c: &mut Criterion) {
     group.finish();
 }
 
-/// The value-partitioned trigger index on the scale workload, in lockstep
-/// with `bench_json`'s `probe` group: the `linear` leg walks every stored
-/// query under the contacted attribute-level key per tuple and every stored
-/// tuple per arriving query (the differential oracle), the `indexed` leg
-/// probes only pin-matching stored queries plus the admissible publication
-/// span of stored tuples. Answer streams are identical; the delta is the
-/// cost of O(bucket) walks versus O(matching) probes.
-fn bench_probe(c: &mut Criterion) {
-    let mut group = c.benchmark_group("probe");
-    group.sample_size(10);
-    let config = || EngineConfig::default().with_subjoin_sharing(true).with_altt(256);
-    group.bench_function("linear", |b| b.iter(|| run_scale(config().with_trigger_index(false))));
-    group.bench_function("indexed", |b| b.iter(|| run_scale(config())));
-    group.finish();
-}
-
-/// Cyclic query shapes under the two-plan planner, in lockstep with
-/// `bench_json`'s `cyclic` group: the `pipeline` leg is the matched acyclic
-/// chain workload (cycle knob off, same schema and counts), the `hypercube`
-/// leg is the triangle workload evaluated as replicated cells with
-/// cell-local partials. The delta is the price of cyclic shapes.
+/// Cyclic query shapes under the two-plan planner: the `pipeline` leg is
+/// the matched acyclic chain workload (cycle knob off, same schema and
+/// counts), the `hypercube` leg is the triangle workload evaluated as
+/// replicated cells with cell-local partials. The delta is the price of
+/// cyclic shapes.
 fn bench_cyclic_shapes(c: &mut Criterion) {
     let scenario =
         |cycle: usize| Scenario { cycle, queries: 60, tuples: 120, ..Scenario::cyclic_test() };
@@ -224,9 +152,7 @@ criterion_group!(
     bench_ric_reuse_ablation,
     bench_window_sizes,
     bench_sharding_runtime,
-    bench_compiled_predicates,
     bench_scale,
-    bench_probe,
     bench_cyclic_shapes
 );
 criterion_main!(benches);

@@ -78,14 +78,15 @@ pub struct EngineConfig {
     pub successor_list_len: usize,
     /// Seed for the engine's internal randomness (random placement).
     pub seed: u64,
-    /// Number of event-queue shards used by
-    /// [`RJoinEngine::run_until_quiescent_parallel`](crate::RJoinEngine::run_until_quiescent_parallel).
+    /// Number of event-queue shards the drain
+    /// ([`RJoinEngine::run_until_quiescent`](crate::RJoinEngine::run_until_quiescent))
+    /// runs on.
     ///
-    /// With `1` (the default) the driver uses the single global event queue
-    /// and is byte-identical to the sequential driver. With `n > 1` the
-    /// ring's nodes are split into `n` contiguous identifier ranges, each
-    /// owning its own bucket queue, local virtual clock and worker thread,
-    /// synchronized only through the conservative watermark protocol of
+    /// With `1` (the default) the drain runs the single global event queue
+    /// on the calling thread. With `n > 1` (and δ ≥ 1) the ring's nodes are
+    /// split into `n` contiguous identifier ranges, each owning its own
+    /// bucket queue, local virtual clock and worker thread, synchronized
+    /// only through the conservative watermark protocol of
     /// [`rjoin_net::ShardedNetwork`]. Sharded runs are deterministic and
     /// produce identical answers/loads/traffic for every `n > 1`; they can
     /// differ from the `n = 1` trace only through placement-RNG draws
@@ -112,30 +113,23 @@ pub struct EngineConfig {
     /// Afrati et al.'s terms). Ignored while
     /// [`hot_key_threshold`](Self::hot_key_threshold) is `None`.
     pub hot_key_partitions: u32,
-    /// When `true` (the default), per-tuple rewriting runs compiled
-    /// predicate programs: at first trigger the stored query's sub-join is
-    /// compiled into a flat rewrite template (attribute references resolved
-    /// to column offsets, constant filters pre-folded and hoisted before
-    /// join-residue emission), cached per node keyed by the sub-join
-    /// fingerprint so all subscribers of a shared shape compile once. When
-    /// `false`, every trigger walks the query AST through the
-    /// `rjoin_query::rewrite` interpreter — the semantics oracle the
-    /// differential tests compare against. Both paths produce byte-identical
-    /// answers.
-    pub compiled_predicates: bool,
     /// When `true` (the default), each node indexes every windowed stored
     /// query and ALTT entry by its deadline on a per-node timer wheel, and
     /// the drivers pop expired entries as the clock crosses their deadline —
     /// O(expired) reclamation, independent of how much state is stored.
     /// When `false`, dead state is only reclaimed when a later arrival walks
-    /// the bucket it sits in (the legacy contact-driven sweep, retained as a
-    /// differential oracle). Answer streams are identical either way —
-    /// wheel deadlines are provably past the last tick at which an entry
-    /// could still trigger, **provided tuples enter the network at their
-    /// publication time** (`pub_time >= engine clock` when published, which
-    /// is how every driver in this workspace publishes). A publisher that
-    /// back-dates tuples behind the clock stretches delivery lag beyond the
-    /// delay bound the deadlines account for and should run in sweep mode.
+    /// the bucket it sits in (the contact-driven sweep).
+    ///
+    /// The two modes answer identically only while every tuple enters the
+    /// network at its publication time (`pub_time >= engine clock` when
+    /// published): wheel deadlines allow the delay bound δ of delivery lag
+    /// and no more. A publisher that back-dates tuples behind the clock —
+    /// as closed-loop drivers do when a round is published after the
+    /// previous round's drain advanced the clock past it — can make the
+    /// wheel pop a windowed query before in-window tuples reach it, losing
+    /// answers the sweep still delivers (see `tests/expiry.rs`). The sweep
+    /// pays for that completeness in memory: it keeps every entry no later
+    /// arrival contacts.
     pub wheel_expiry: bool,
     /// When `true` (the default), submitted queries go through the two-plan
     /// cost model (`rjoin_query::plan`): cyclic join graphs are placed as a
@@ -149,17 +143,6 @@ pub struct EngineConfig {
     /// Cell budget of a hypercube plan: the planner allocates per-axis
     /// shares `s_1 × … × s_k` with `∏ s_i` at most this value.
     pub hypercube_cells: u32,
-    /// When `true` (the default), each node partitions its stored-query
-    /// buckets by the entries' discriminating probe value (the first
-    /// tuple-resolvable constant equality of the compiled rewrite) and a
-    /// tuple arrival contacts only the residual entries plus its own value
-    /// slice — O(matching) instead of O(bucket). When `false`, every
-    /// arrival walks the whole bucket (the linear-walk oracle the
-    /// differential suite compares against). Answers are byte-identical
-    /// either way: skipped entries would have rewritten to `Mismatch`, and
-    /// skipped contact-expiry removals are provably unobservable (see
-    /// `trigger_index` module docs).
-    pub trigger_index: bool,
 }
 
 impl Default for EngineConfig {
@@ -179,11 +162,9 @@ impl Default for EngineConfig {
             workers: None,
             hot_key_threshold: None,
             hot_key_partitions: 8,
-            compiled_predicates: true,
             wheel_expiry: true,
             hypercube_planner: true,
             hypercube_cells: 8,
-            trigger_index: true,
         }
     }
 }
@@ -220,14 +201,13 @@ impl EngineConfig {
         self
     }
 
-    /// Sets the number of event-queue shards the parallel driver uses
-    /// (clamped to at least 1). `with_shards(1)` keeps the single global
-    /// queue and is byte-identical to the sequential driver.
+    /// Sets the number of event-queue shards the drain uses (clamped to at
+    /// least 1). `with_shards(1)` keeps the single global queue.
     ///
     /// The sharded runtime's conservative synchronization uses the delay
     /// bound δ as its lookahead, so it requires `network_delay >= 1`; with
-    /// a zero-delay configuration the parallel driver falls back to the
-    /// single-queue tick-batched path regardless of the shard count.
+    /// a zero-delay configuration the drain stays on the single queue
+    /// regardless of the shard count.
     pub fn with_shards(mut self, shards: usize) -> Self {
         self.shards = shards.max(1);
         self
@@ -265,10 +245,10 @@ impl EngineConfig {
 /// # Features
 ///
 /// Every boolean feature toggle has the same shape: `with_<feature>(bool)`,
-/// where `true` enables the feature and `false` selects the baseline the
-/// differential suites compare against. Each setter documents which of the
-/// two is the default; chaining setters is order-independent because each
-/// writes exactly one field.
+/// where `true` enables the feature and `false` selects the paper's
+/// baseline behaviour. Each setter documents which of the two is the
+/// default; chaining setters is order-independent because each writes
+/// exactly one field.
 impl EngineConfig {
     /// Selects RIC reuse (Section 7): `true` (the default) piggy-backs RIC
     /// information on rewritten queries and caches it in each node's
@@ -299,32 +279,13 @@ impl EngineConfig {
         self
     }
 
-    /// Selects the per-tuple rewrite path: `true` (the default) executes
-    /// compiled predicate programs, `false` runs the AST interpreter on
-    /// every trigger. Results are byte-identical either way; the
-    /// interpreter is retained as the oracle for differential tests and the
-    /// `compiled` bench ablation.
-    pub fn with_compiled_predicates(mut self, compiled: bool) -> Self {
-        self.compiled_predicates = compiled;
-        self
-    }
-
     /// Selects the expiry machinery: `true` (the default) pops expired
     /// windowed queries and ALTT entries from each node's timer wheel at
     /// their deadline, `false` leaves dead state in place until a bucket
-    /// walk contacts it (the legacy sweep, retained as the oracle for
-    /// differential tests and the `scale/sweep` bench ablation).
+    /// walk contacts it (the sweep). See [`wheel_expiry`](Self::wheel_expiry)
+    /// for when the two modes answer differently.
     pub fn with_wheel_expiry(mut self, wheel: bool) -> Self {
         self.wheel_expiry = wheel;
-        self
-    }
-
-    /// Selects the tuple-arrival probe path: `true` (the default) probes
-    /// the value-partitioned trigger index, `false` walks the whole stored-
-    /// query bucket on every arrival (the linear-walk oracle, retained for
-    /// differential tests and the `probe/linear` bench ablation).
-    pub fn with_trigger_index(mut self, enabled: bool) -> Self {
-        self.trigger_index = enabled;
         self
     }
 
@@ -335,33 +296,6 @@ impl EngineConfig {
     pub fn with_hypercube_planner(mut self, enabled: bool) -> Self {
         self.hypercube_planner = enabled;
         self
-    }
-}
-
-/// # Deprecated setter shims
-///
-/// Earlier revisions grew feature toggles by accretion, so some took no
-/// argument (`with_shared_subjoins()`) while others took an explicit
-/// `bool` (`with_compiled_predicates(false)`). The argument-less shapes
-/// survive here as shims over the consolidated
-/// [Features](#features) setters.
-impl EngineConfig {
-    /// Disables RIC reuse (piggy-backing and candidate-table caching).
-    #[deprecated(note = "use `with_ric_reuse(false)`")]
-    pub fn without_ric_reuse(self) -> Self {
-        self.with_ric_reuse(false)
-    }
-
-    /// Restricts rewritten queries to value-level placement.
-    #[deprecated(note = "use `with_value_level_only(true)`")]
-    pub fn with_value_level_rewrites(self) -> Self {
-        self.with_value_level_only(true)
-    }
-
-    /// Enables shared sub-join evaluation.
-    #[deprecated(note = "use `with_subjoin_sharing(true)`")]
-    pub fn with_shared_subjoins(self) -> Self {
-        self.with_subjoin_sharing(true)
     }
 }
 
@@ -384,12 +318,8 @@ mod tests {
         assert_eq!(EngineConfig::default().with_workers(3).workers, Some(3));
         assert_eq!(EngineConfig::default().with_workers(0).workers, Some(1));
         assert!(c.hot_key_threshold.is_none(), "splitting is opt-in: the default is the paper");
-        assert!(c.compiled_predicates, "compiled predicate programs are the default hot path");
-        assert!(!EngineConfig::default().with_compiled_predicates(false).compiled_predicates);
         assert!(c.wheel_expiry, "timer-wheel expiry is the default");
         assert!(!EngineConfig::default().with_wheel_expiry(false).wheel_expiry);
-        assert!(c.trigger_index, "indexed tuple-arrival probing is the default");
-        assert!(!EngineConfig::default().with_trigger_index(false).trigger_index);
         assert!(c.hypercube_planner, "cyclic shapes are a supported workload by default");
         assert_eq!(c.hypercube_cells, 8);
         assert!(!EngineConfig::default().with_hypercube_planner(false).hypercube_planner);
@@ -414,18 +344,6 @@ mod tests {
         assert!(back.reuse_ric);
         assert!(!back.rewritten_value_level_only);
         assert!(!back.share_subjoins);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_shims_forward_to_bool_setters() {
-        let c = EngineConfig::default()
-            .without_ric_reuse()
-            .with_value_level_rewrites()
-            .with_shared_subjoins();
-        assert!(!c.reuse_ric);
-        assert!(c.rewritten_value_level_only);
-        assert!(c.share_subjoins);
     }
 
     #[test]

@@ -39,11 +39,6 @@ pub(crate) type KeyLoadMap = LoadMap<u64, RingBuildHasher>;
 pub(crate) type NodeLoadMap = LoadMap<Id, RingBuildHasher>;
 pub(crate) type NodeMap = HashMap<Id, NodeState, RingBuildHasher>;
 
-/// Minimum number of node-bound deliveries in one tick before the parallel
-/// driver spawns worker threads; smaller ticks are processed inline because
-/// thread startup would dominate.
-const PARALLEL_TICK_MIN_DELIVERIES: usize = 24;
-
 /// One registered hypercube plan: the cell space of a hypercube-planned
 /// query and how tuples of each participating relation pin coordinates in
 /// it. Registered at submission (driver thread, between drains — the same
@@ -74,9 +69,9 @@ pub struct LoadDelta {
 }
 
 /// The deferred, engine-global effect of one delivery. Produced during the
-/// node-local phase (possibly on a worker thread), applied strictly in
-/// `(at, seq)` order afterwards (per shard, in `(at, lineage)` order under
-/// the sharded driver) so all drivers observe the same event order.
+/// node-local phase, applied strictly in `(at, seq)` order afterwards (per
+/// shard, in `(at, lineage)` order under the sharded driver) so all drivers
+/// observe the same event order.
 pub enum TickEffect {
     /// The destination node left the ring; the message is lost.
     Lost,
@@ -86,35 +81,10 @@ pub enum TickEffect {
     Node { node: Id, load: Option<LoadDelta>, actions: Vec<Action> },
 }
 
-/// All deliveries of one tick addressed to one node, bundled with that
-/// node's state (temporarily taken out of the engine's node map so groups
-/// can be processed on independent threads without aliasing).
-struct NodeGroup {
-    node: Id,
-    state: NodeState,
-    /// `(position in the tick batch, arrival tick, message)` in `(at, seq)`
-    /// order.
-    items: Vec<(usize, SimTime, RJoinMessage)>,
-    /// Effects produced by the handlers, same positions as `items`.
-    effects: Vec<(usize, TickEffect)>,
-}
-
-impl NodeGroup {
-    /// Runs every handler of this group in sequence-number order. Touches
-    /// only this group's [`NodeState`] plus the shared read-only context,
-    /// which is what makes whole groups safe to run concurrently.
-    fn run(&mut self, catalog: &Catalog, config: &EngineConfig, now: SimTime) {
-        self.effects.reserve(self.items.len());
-        for (pos, at, msg) in self.items.drain(..) {
-            let effect = handle_node_msg(&mut self.state, catalog, config, now, at, self.node, msg);
-            self.effects.push((pos, effect));
-        }
-    }
-}
-
 /// Runs the node-local part of one delivery (Procedures 1–3): mutates only
-/// `state`, reads only the shared catalog/config. Shared by the serial, the
-/// tick-parallel and the sharded drivers so all produce identical effects.
+/// `state`, reads only the shared catalog/config. Shared by the sequential
+/// and the sharded drivers (and by out-of-process node drivers) so all
+/// produce identical effects.
 pub fn handle_node_msg(
     state: &mut NodeState,
     catalog: &Catalog,
@@ -160,15 +130,14 @@ pub fn handle_node_msg(
 }
 
 /// Builds a [`NodeState`] configured the way the engine constructors
-/// configure theirs — expiry machinery and trigger index per the config,
-/// with a node-private compiled-program cache — for out-of-process drivers
+/// configure theirs — expiry machinery per the config, with a node-private
+/// compiled-program cache — for out-of-process drivers
 /// (such as `rjoin_transport`'s node processes) that run
 /// [`handle_node_msg`] themselves. Nodes built this way do not share a
 /// program cache; each compiles its own rewrite templates on first trigger.
 pub fn standalone_node_state(id: Id, config: &EngineConfig) -> NodeState {
     let mut state = NodeState::new(id);
     state.configure_expiry(config.wheel_expiry, config.network_delay);
-    state.configure_trigger_index(config.trigger_index);
     state
 }
 
@@ -177,9 +146,7 @@ pub fn standalone_node_state(id: Id, config: &EngineConfig) -> NodeState {
 /// It owns a simulated Chord network (via [`rjoin_net::Network`]), one
 /// [`NodeState`] per node, and the metric counters the paper's experiments
 /// report. Drivers submit continuous queries, publish tuples and then drain
-/// the event queue with [`run_until_quiescent`](Self::run_until_quiescent)
-/// (or its multicore twin,
-/// [`run_until_quiescent_parallel`](Self::run_until_quiescent_parallel)).
+/// the event queue with [`run_until_quiescent`](Self::run_until_quiescent).
 #[derive(Debug)]
 pub struct RJoinEngine {
     pub(crate) config: EngineConfig,
@@ -225,14 +192,6 @@ pub struct RJoinEngine {
 }
 
 impl RJoinEngine {
-    /// Creates an engine with `num_nodes` Chord nodes, all fully stabilized.
-    ///
-    /// Equivalent to [`simulated`](Self::simulated); kept as the historical
-    /// name so existing drivers keep compiling.
-    pub fn new(config: EngineConfig, catalog: Catalog, num_nodes: usize) -> Self {
-        Self::simulated(config, catalog, num_nodes)
-    }
-
     /// The embedded-simulation convenience constructor: builds a simulated
     /// network from the configuration (delay bound, successor-list length),
     /// bootstraps `num_nodes` fully stabilized Chord nodes named
@@ -281,7 +240,6 @@ impl RJoinEngine {
                 let mut state = NodeState::new(*id);
                 state.share_programs(Arc::clone(&programs));
                 state.configure_expiry(config.wheel_expiry, config.network_delay);
-                state.configure_trigger_index(config.trigger_index);
                 (*id, state)
             })
             .collect();
@@ -760,7 +718,6 @@ impl RJoinEngine {
         let mut state = NodeState::new(id);
         state.share_programs(Arc::clone(&self.programs));
         state.configure_expiry(self.config.wheel_expiry, self.config.network_delay);
-        state.configure_trigger_index(self.config.trigger_index);
         self.nodes.insert(id, state);
         self.node_ids.push(id);
         self.rehome_misplaced_state()?;
@@ -843,67 +800,46 @@ impl RJoinEngine {
     ///
     /// Single-stepping interleaves each delivery's effects (RIC-aware
     /// placement, sends) before the next delivery's handler, whereas the
-    /// tick-draining drivers run *all* handlers of a tick before any
-    /// effects. Within one tick a RIC rate read can therefore observe one
-    /// arrival more under tick draining than under stepping, so don't mix
+    /// drain runs *all* handlers of a tick before any effects. Within one
+    /// tick a RIC rate read can therefore observe one arrival more under
+    /// tick draining than under stepping, so don't mix
     /// the two drivers in a run whose exact placement/traffic trace matters.
     /// (Answer *soundness* is unaffected — only placement choices shift.)
     pub fn step(&mut self) -> Result<bool, EngineError> {
         match self.network.pop_next() {
             Some(delivery) => {
-                self.process_batch(vec![delivery], false)?;
+                self.process_batch(vec![delivery])?;
                 Ok(true)
             }
             None => Ok(false),
         }
     }
 
-    /// Drains the event queue until no message is in flight, one tick at a
-    /// time, on the calling thread. Returns the number of messages
-    /// processed.
-    pub fn run_until_quiescent(&mut self) -> Result<u64, EngineError> {
-        self.drain(false)
-    }
-
-    /// Like [`run_until_quiescent`](Self::run_until_quiescent), but
-    /// parallelized according to [`EngineConfig::shards`]:
+    /// Drains the event queue until no message is in flight. Returns the
+    /// number of messages processed.
     ///
-    /// * **`shards == 1`** (default): the single global event queue is
-    ///   drained tick by tick and each fat tick's node-local handler work is
-    ///   fanned out across CPU cores under [`std::thread::scope`], with all
-    ///   engine-global effects applied on the calling thread in `(at, seq)`
-    ///   order. This is **byte-identical** to the sequential driver: same
-    ///   answers, same loads, same traffic, same RNG stream.
-    /// * **`shards > 1`**: the drain runs on the sharded event-queue
-    ///   runtime — one persistent worker per shard, each owning a contiguous
-    ///   range of ring nodes, its own bucket queue and local virtual clock,
-    ///   synchronized only through [`rjoin_net::ShardedNetwork`]'s
-    ///   conservative watermark protocol. Long cascades that touch few
-    ///   shards no longer serialize through a global tick barrier. Sharded
-    ///   runs are deterministic, and their answers/loads/traffic are
-    ///   identical for **every** shard count `> 1`; they may differ from
-    ///   the single-queue trace only through placement-RNG draws (derived
-    ///   per decision instead of from one global stream) and pruning-free
-    ///   RIC reads — with an RNG-free placement strategy on an unwindowed
-    ///   workload the sharded trace is byte-identical to the sequential one
-    ///   too (see `tests/determinism.rs`).
-    pub fn run_until_quiescent_parallel(&mut self) -> Result<u64, EngineError> {
-        // The watermark protocol's lookahead is the delay bound δ, so the
-        // sharded runtime requires δ >= 1; a zero-delay configuration (legal
-        // for the single queue) falls back to the tick-batched driver
-        // rather than silently changing delivery timing.
+    /// With [`EngineConfig::shards`] `> 1` (and a delay bound δ ≥ 1) the
+    /// drain runs on the sharded event-queue runtime: one worker per shard,
+    /// each owning a contiguous range of ring nodes, its own bucket queue
+    /// and local virtual clock, synchronized only through
+    /// [`rjoin_net::ShardedNetwork`]'s conservative watermark protocol.
+    /// Sharded runs are deterministic, and their answers/loads/traffic are
+    /// identical for **every** shard count `> 1`; they may differ from the
+    /// single-queue trace only through placement-RNG draws (derived per
+    /// decision instead of from one global stream) and pruning-free RIC
+    /// reads (see `tests/determinism.rs`).
+    ///
+    /// Otherwise — one shard, or δ = 0, where the watermark protocol has no
+    /// lookahead — the single global event queue is drained one tick at a
+    /// time on the calling thread.
+    pub fn run_until_quiescent(&mut self) -> Result<u64, EngineError> {
         if self.config.shards > 1 && self.network.delay() >= 1 {
-            crate::shard_driver::drain_sharded(self)
-        } else {
-            self.drain(true)
+            return crate::shard_driver::drain_sharded(self);
         }
-    }
-
-    fn drain(&mut self, parallel: bool) -> Result<u64, EngineError> {
         let mut processed = 0u64;
         while let Some((_, batch)) = self.network.pop_tick() {
             processed += batch.len() as u64;
-            self.process_batch(batch, parallel)?;
+            self.process_batch(batch)?;
         }
         self.flush_expiry();
         Ok(processed)
@@ -935,22 +871,11 @@ impl RJoinEngine {
         }
     }
 
-    /// Processes one tick's deliveries: node-local phase (serial, or across
-    /// threads for fat ticks), then the deterministic effect phase in
-    /// `(at, seq)` order. The two drivers run the handlers against each
-    /// node's state in the same per-node order and apply effects in the same
-    /// global order, so their results are identical by construction.
-    fn process_batch(
-        &mut self,
-        batch: Vec<Delivery<RJoinMessage>>,
-        parallel: bool,
-    ) -> Result<(), EngineError> {
+    /// Processes one tick's deliveries: the node-local phase, then the
+    /// deterministic effect phase in `(at, seq)` order.
+    fn process_batch(&mut self, batch: Vec<Delivery<RJoinMessage>>) -> Result<(), EngineError> {
         let now = self.network.now();
-        let effects = if parallel && batch.len() >= PARALLEL_TICK_MIN_DELIVERIES {
-            self.node_local_phase_parallel(batch, now)
-        } else {
-            self.node_local_phase_serial(batch, now)
-        };
+        let effects = self.node_local_phase(batch, now);
 
         // Effect phase: strictly in (at, seq) order, on the calling thread.
         for effect in effects {
@@ -979,10 +904,9 @@ impl RJoinEngine {
         Ok(())
     }
 
-    /// Serial node-local phase: handlers run in `(at, seq)` order directly
-    /// against the node map — no grouping machinery, which keeps the common
-    /// small-tick case as lean as single-stepping.
-    fn node_local_phase_serial(
+    /// Node-local phase: handlers run in `(at, seq)` order directly against
+    /// the node map.
+    fn node_local_phase(
         &mut self,
         batch: Vec<Delivery<RJoinMessage>>,
         now: SimTime,
@@ -1019,81 +943,6 @@ impl RJoinEngine {
         effects
     }
 
-    /// Threaded node-local phase: deliveries are grouped by destination node
-    /// (handlers are purely node-local), whole groups run concurrently under
-    /// `std::thread::scope`, and the effects are stitched back into the
-    /// original `(at, seq)` positions.
-    fn node_local_phase_parallel(
-        &mut self,
-        batch: Vec<Delivery<RJoinMessage>>,
-        now: SimTime,
-    ) -> Vec<TickEffect> {
-        let mut slots: Vec<Option<TickEffect>> = Vec::with_capacity(batch.len());
-        slots.resize_with(batch.len(), || None);
-        let mut groups: Vec<NodeGroup> = Vec::new();
-        let mut group_of: HashMap<Id, usize, RingBuildHasher> = HashMap::default();
-
-        for (pos, delivery) in batch.into_iter().enumerate() {
-            // A node already pulled into a group this tick is no longer in
-            // `self.nodes`, but it is very much alive.
-            if !group_of.contains_key(&delivery.to) && !self.nodes.contains_key(&delivery.to) {
-                slots[pos] = Some(TickEffect::Lost);
-                continue;
-            }
-            match delivery.msg {
-                RJoinMessage::Answer { query, row, produced_at } => {
-                    let record = AnswerRecord { query, row, produced_at, received_at: delivery.at };
-                    slots[pos] = Some(TickEffect::Answer(record));
-                }
-                msg => {
-                    let group = *group_of.entry(delivery.to).or_insert_with(|| {
-                        let state =
-                            self.nodes.remove(&delivery.to).expect("membership checked above");
-                        groups.push(NodeGroup {
-                            node: delivery.to,
-                            state,
-                            items: Vec::new(),
-                            effects: Vec::new(),
-                        });
-                        groups.len() - 1
-                    });
-                    groups[group].items.push((pos, delivery.at, msg));
-                }
-            }
-        }
-
-        let catalog = &self.catalog;
-        let config = &self.config;
-        let workers = available_workers().min(groups.len());
-        if workers > 1 {
-            let chunk_size = groups.len().div_ceil(workers);
-            std::thread::scope(|scope| {
-                for chunk in groups.chunks_mut(chunk_size) {
-                    scope.spawn(move || {
-                        for group in chunk {
-                            group.run(catalog, config, now);
-                        }
-                    });
-                }
-            });
-        } else {
-            for group in &mut groups {
-                group.run(catalog, config, now);
-            }
-        }
-
-        for group in groups {
-            self.nodes.insert(group.node, group.state);
-            for (pos, effect) in group.effects {
-                slots[pos] = Some(effect);
-            }
-        }
-        slots
-            .into_iter()
-            .map(|slot| slot.expect("every delivery resolves to exactly one effect"))
-            .collect()
-    }
-
     /// Cumulative shared sub-join savings across all live nodes.
     pub fn sharing_counters(&self) -> SharingCounters {
         let mut total = SharingCounters::new();
@@ -1104,9 +953,8 @@ impl RJoinEngine {
     }
 
     /// Cumulative compiled-predicate counters across all live nodes:
-    /// programs compiled, fingerprint-cache hits, how many triggers ran on
-    /// the compiled vs the interpreted path, and nanoseconds spent in the
-    /// per-delivery trigger walks.
+    /// programs compiled, fingerprint-cache hits, compiled rewrites, and
+    /// nanoseconds spent in the per-delivery trigger walks.
     pub fn compile_counters(&self) -> CompileCounters {
         let mut total = CompileCounters::new();
         for state in self.nodes.values() {
@@ -1127,9 +975,9 @@ impl RJoinEngine {
     }
 
     /// Trigger-index probe counters summed across all live nodes: how many
-    /// arrivals probed the index vs walked linearly, candidates handed out
-    /// vs the bucket lengths a linear walk would have scanned, the residual
-    /// share, and the peak number of indexed handles.
+    /// arrivals probed the index, candidates handed out vs the bucket
+    /// lengths a full walk would have scanned, the residual share, and the
+    /// peak number of indexed handles.
     pub fn probe_counters(&self) -> ProbeCounters {
         let mut total = ProbeCounters::new();
         for state in self.nodes.values() {
@@ -1149,8 +997,8 @@ impl RJoinEngine {
     /// Cumulative sharded-runtime observability counters: shard count of
     /// the latest sharded drain, per-shard tick activations, deliveries
     /// processed on shard workers, and blocked remote RIC reads. All zero
-    /// until [`run_until_quiescent_parallel`](Self::run_until_quiescent_parallel)
-    /// runs with `shards > 1`.
+    /// until [`run_until_quiescent`](Self::run_until_quiescent) runs with
+    /// `shards > 1`.
     pub fn shard_runtime_stats(&self) -> &ShardRuntimeStats {
         &self.shard_runtime
     }
@@ -1248,7 +1096,7 @@ impl RJoinEngine {
 /// sends through, the RIC information it reads, and the randomness its
 /// placement decisions draw from.
 ///
-/// Two implementations exist: `SeqEnv` (the single-queue drivers — global
+/// Two implementations exist: `SeqEnv` (the single-queue drain — global
 /// RNG stream, lossy in-place RIC reads) and the sharded driver's per-worker
 /// environment (per-decision RNG derived from the triggering message's
 /// lineage, pure watermark-synchronized RIC reads). Keeping the *entire*
@@ -1599,9 +1447,4 @@ pub fn dispatch_query_in<E: EffectEnv>(
         }
     }
     Ok(())
-}
-
-/// Number of worker threads the parallel driver may use.
-fn available_workers() -> usize {
-    std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
 }

@@ -22,7 +22,7 @@
 //!
 //! # Hot-path architecture
 //!
-//! Three design decisions keep the per-message cost flat:
+//! These design decisions keep the per-message cost flat:
 //!
 //! * **Interned key identities** — every index key is converted once into a
 //!   [`rjoin_dht::HashedKey`] (canonical string as `Arc<str>` plus the ring
@@ -45,18 +45,23 @@
 //!   O(popped), bucket walks only ever visit live entries, and removals
 //!   (expiry, churn drains) invalidate external references (wheel tokens,
 //!   sub-join registry slots) for free via the slab generation check
-//!   instead of rebuilding indexes. The legacy contact-driven sweep
-//!   remains available as a differential oracle via
-//!   [`EngineConfig::with_wheel_expiry`]`(false)`.
+//!   instead of rebuilding indexes. The contact-driven sweep
+//!   ([`EngineConfig::with_wheel_expiry`]`(false)`) reclaims only what a
+//!   later arrival touches; it stays because the wheel's deadlines assume
+//!   tuples are published at or after the clock (see
+//!   [`EngineConfig::wheel_expiry`]).
+//! * **Compiled triggers and a trigger index** — each stored query's
+//!   sub-join is compiled once into a flat predicate program, cached by
+//!   fingerprint, and each node files its stored queries under their
+//!   discriminating constant, so a tuple arrival contacts only the entries
+//!   it can match (`trigger_index` module) and a query arrival walks only
+//!   the publication span of stored tuples its window admits.
 //! * **Tick-batched delivery loop** — the network's event queue is a
 //!   constant-δ bucket queue ([`rjoin_net::Network::pop_tick`]); the engine
 //!   drains one tick at a time, runs the purely node-local Procedures 1–3
-//!   per destination node (optionally across cores via
-//!   [`RJoinEngine::run_until_quiescent_parallel`], which uses
-//!   `std::thread::scope` over per-node delivery groups), and then applies
-//!   all global effects — load counters, answer recording, RIC-aware
-//!   placement and sends — in deterministic `(at, seq)` order. Sequential
-//!   and parallel driving are byte-identical by construction.
+//!   per delivery, and then applies all global effects — load counters,
+//!   answer recording, RIC-aware placement and sends — in deterministic
+//!   `(at, seq)` order.
 //!
 //! # Sharded event-queue runtime
 //!
@@ -64,7 +69,7 @@
 //! queue: a chain of Eval/Index hops advances one tick at a time no matter
 //! how many independent cascades are in flight. With
 //! [`EngineConfig::with_shards`]`(n > 1)`,
-//! [`RJoinEngine::run_until_quiescent_parallel`] instead drains on the
+//! [`RJoinEngine::run_until_quiescent`] instead drains on the
 //! **sharded runtime** ([`rjoin_net::ShardedNetwork`]): the ring's nodes
 //! are split into `n` contiguous identifier ranges, each owning its own
 //! bucket queue, local virtual clock, per-shard `NodeState` slice and
@@ -166,7 +171,7 @@
 //! catalog.register(Schema::new("R", ["A", "B"]).unwrap()).unwrap();
 //! catalog.register(Schema::new("S", ["A", "B"]).unwrap()).unwrap();
 //!
-//! let mut engine = RJoinEngine::new(EngineConfig::default(), catalog, 32);
+//! let mut engine = RJoinEngine::simulated(EngineConfig::default(), catalog, 32);
 //! let origin = engine.node_ids()[0];
 //! let q = parse_query("SELECT R.B, S.B FROM R, S WHERE R.A = S.A").unwrap();
 //! let qid = engine.submit_query(origin, q).unwrap();

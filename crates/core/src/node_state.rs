@@ -200,8 +200,8 @@ pub struct NodeState {
     /// The node's timer wheel: every windowed stored query and every ALTT
     /// entry, indexed by the tick its removal becomes unobservable.
     pub(crate) wheel: TimerWheel<ExpiryToken>,
-    /// Whether wheel-driven expiry is active (`false` runs the legacy
-    /// contact-sweep oracle: state is only reclaimed when a walk touches
+    /// Whether wheel-driven expiry is active (`false` runs the
+    /// contact-driven sweep: state is only reclaimed when a walk touches
     /// it).
     pub(crate) wheel_enabled: bool,
     /// The network's delivery-delay bound δ: a tuple published at `p` can
@@ -356,13 +356,6 @@ impl NodeState {
     pub(crate) fn configure_expiry(&mut self, wheel: bool, slack: SimTime) {
         self.wheel_enabled = wheel;
         self.expiry_slack = slack;
-    }
-
-    /// Selects indexed tuple-arrival probing or the linear-walk oracle.
-    /// The engine calls this on every node it creates, before any state is
-    /// stored.
-    pub(crate) fn configure_trigger_index(&mut self, enabled: bool) {
-        self.trigger_index.configure(enabled);
     }
 
     /// Snapshot of this node's trigger-index probe counters.

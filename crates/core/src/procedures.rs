@@ -7,12 +7,15 @@
 //! keeps these handlers purely local, exactly like the pseudo-code in the
 //! paper.
 //!
-//! Tuple arrivals ([`handle_new_tuple`]) contact stored queries through the
-//! node's value-partitioned trigger index by default (`O(matching)` probes;
-//! see [`crate::trigger_index`]), falling back to the linear bucket walk
-//! when `EngineConfig::with_trigger_index(false)` selects the oracle mode.
-//! Either way, a contact-expiry removal here is a handle-unlink site under
-//! the index's maintenance contract: it must unfile the removed entry
+//! Every trigger runs the stored entry's compiled predicate program
+//! (`rjoin_query::compile_subjoin`), cached engine-wide by sub-join
+//! fingerprint; `rjoin_query::rewrite` is the reference semantics the
+//! compiler is tested against. Tuple arrivals ([`handle_new_tuple`])
+//! contact stored queries through the node's value-partitioned trigger
+//! index (`O(matching)` probes; see [`crate::trigger_index`]), and query
+//! arrivals walk only the admissible publication span of the stored
+//! tuples. A contact-expiry removal here is a handle-unlink site under the
+//! index's maintenance contract: it must unfile the removed entry
 //! (`TriggerIndex::remove`) and fix the moved entry's `bucket_pos`
 //! ([`unlink_from_bucket`]) like every other removal path.
 
@@ -23,8 +26,8 @@ use rjoin_dht::HashedKey;
 use rjoin_metrics::{CompileCounters, SharingCounters};
 use rjoin_net::SimTime;
 use rjoin_query::{
-    compile_subjoin, fingerprint, resolve_select_items, rewrite, CompiledTrigger, Fingerprint,
-    IndexLevel, JoinQuery, RewriteResult, SelectItem,
+    compile_subjoin, fingerprint, resolve_select_items, CompiledTrigger, Fingerprint, IndexLevel,
+    JoinQuery, RewriteResult, SelectItem,
 };
 use rjoin_relation::{Catalog, Schema, Timestamp, Tuple, Value};
 use std::sync::{Arc, Mutex};
@@ -155,8 +158,8 @@ fn shared_child(
 /// one [`StoredQuery`].
 ///
 /// Returns `None` when the query cannot be compiled — exactly the queries
-/// the interpreter would error on (unknown attribute, orphaned residue from
-/// unchecked construction), which map to "not triggered" either way.
+/// `rjoin_query::rewrite` errors on (unknown attribute, orphaned residue
+/// from unchecked construction), which map to "not triggered".
 fn ensure_program<'a>(
     slot: &'a mut Option<CompiledTrigger>,
     query: &JoinQuery,
@@ -207,7 +210,6 @@ fn try_trigger(
     stored: &mut StoredQuery,
     tuple: &Tuple,
     schema: &Schema,
-    ctx: &ProcCtx<'_>,
     programs: &Mutex<ProgramCache>,
     counters: &mut CompileCounters,
     start_rule: impl Fn(Option<Timestamp>, Timestamp) -> Option<Timestamp>,
@@ -250,28 +252,21 @@ fn try_trigger(
             return TriggerOutcome::NotTriggered;
         }
     }
-    let result = if ctx.config.compiled_predicates {
-        // `program`, `pending` and `fingerprint` are disjoint fields of
-        // `stored`, so the compiled program can be cached on the entry while
-        // its query is borrowed.
-        match ensure_program(
-            &mut stored.program,
-            &stored.pending.query,
-            stored.fingerprint,
-            schema,
-            programs,
-            counters,
-        ) {
-            Some(program) => {
-                counters.compiled_rewrites += 1;
-                program.execute(tuple)
-            }
-            None => return TriggerOutcome::NotTriggered,
-        }
-    } else {
-        counters.interpreted_rewrites += 1;
-        rewrite(&stored.pending.query, tuple, schema)
+    // `program`, `pending` and `fingerprint` are disjoint fields of
+    // `stored`, so the compiled program can be cached on the entry while its
+    // query is borrowed.
+    let Some(program) = ensure_program(
+        &mut stored.program,
+        &stored.pending.query,
+        stored.fingerprint,
+        schema,
+        programs,
+        counters,
+    ) else {
+        return TriggerOutcome::NotTriggered;
     };
+    counters.compiled_rewrites += 1;
+    let result = program.execute(tuple);
     let pending = &stored.pending;
     match result {
         Ok(RewriteResult::Complete(row)) => {
@@ -373,18 +368,12 @@ pub fn handle_new_tuple(
     let counters = &mut state.compile;
     if let (Some(schema), Some(bucket)) = (schema, stored_map.get_mut(&ring)) {
         let walk = Instant::now();
-        // The contact set of this arrival: with the trigger index on, the
-        // residual list plus the tuple's value slice of every pinned column
-        // (entries skipped here would have rewritten to `Mismatch` — see
-        // the `trigger_index` module docs for the soundness argument); with
-        // it off, a snapshot of the whole bucket (the linear-walk oracle).
+        // The contact set of this arrival: the residual list plus the
+        // tuple's value slice of every pinned column (entries skipped here
+        // would have rewritten to `Mismatch` — see the `trigger_index`
+        // module docs for the soundness argument).
         let mut candidates = tindex.take_scratch();
-        if tindex.enabled() {
-            tindex.collect_candidates(ring, tuple.as_ref(), schema, bucket.len(), &mut candidates);
-        } else {
-            tindex.note_linear_walk();
-            candidates.extend_from_slice(bucket);
-        }
+        tindex.collect_candidates(ring, tuple.as_ref(), schema, bucket.len(), &mut candidates);
         for handle in candidates.drain(..) {
             let Some(stored) = queries.get_mut(handle) else { continue };
             let primary = stored.pending.id;
@@ -394,7 +383,6 @@ pub fn handle_new_tuple(
                 stored,
                 tuple.as_ref(),
                 schema,
-                ctx,
                 &programs,
                 counters,
                 |start, pub_time| {
@@ -530,7 +518,6 @@ fn handle_query_arrival(
     // local clock can run ahead of `at`), while the delivery tick is part of
     // the deterministic message schedule.
     let programs = Arc::clone(&state.programs);
-    let indexed = state.trigger_index.enabled();
     let mut span = std::mem::take(&mut state.span_scratch);
     span.clear();
     let counters = &mut state.compile;
@@ -539,20 +526,17 @@ fn handle_query_arrival(
     let stored_here = state.stored_tuples.get(&ring).map(Vec::as_slice).unwrap_or_default();
     let bucket_len = stored_here.len();
     let min_insert = stored.pending.min_insert_time();
-    if indexed {
-        // Bound the stored-tuple walk to the publication span the arriving
-        // query could possibly combine with (see [`admissible_pub_span`]):
-        // binary-search the publication-sorted sidecar, then restore bucket
-        // (arrival) order so answers and partials come out exactly as the
-        // linear oracle's would.
-        let (lo, hi) = admissible_pub_span(&stored.pending);
-        if lo <= hi {
-            let times = state.stored_tuple_times.get(&ring).map(Vec::as_slice).unwrap_or_default();
-            let from = times.partition_point(|&(t, _)| t < lo);
-            let to = times.partition_point(|&(t, _)| t <= hi);
-            span.extend(times[from..to].iter().map(|&(_, pos)| pos));
-            span.sort_unstable();
-        }
+    // Bound the stored-tuple walk to the publication span the arriving query
+    // could possibly combine with (see [`admissible_pub_span`]):
+    // binary-search the publication-sorted sidecar, then restore bucket
+    // (arrival) order so answers and partials come out in arrival order.
+    let (lo, hi) = admissible_pub_span(&stored.pending);
+    if lo <= hi {
+        let times = state.stored_tuple_times.get(&ring).map(Vec::as_slice).unwrap_or_default();
+        let from = times.partition_point(|&(t, _)| t < lo);
+        let to = times.partition_point(|&(t, _)| t <= hi);
+        span.extend(times[from..to].iter().map(|&(_, pos)| pos));
+        span.sort_unstable();
     }
     let probed = span.len();
     let retained = state
@@ -564,15 +548,7 @@ fn handle_query_arrival(
         .filter_map(|h| state.altt_entries.get(*h))
         .filter(|e| e.expires_at >= ctx.at && e.tuple.pub_time() >= min_insert)
         .map(|e| &e.tuple);
-    let mut bounded_tuples;
-    let mut all_tuples;
-    let value_tuples: &mut dyn Iterator<Item = &Arc<Tuple>> = if indexed {
-        bounded_tuples = span.iter().filter_map(|&pos| tuples.get(stored_here[pos as usize]));
-        &mut bounded_tuples
-    } else {
-        all_tuples = stored_here.iter().filter_map(|h| tuples.get(*h));
-        &mut all_tuples
-    };
+    let value_tuples = span.iter().filter_map(|&pos| tuples.get(stored_here[pos as usize]));
     let walk = Instant::now();
     for tuple in value_tuples.chain(retained) {
         // Stored tuples under one ring key can come from different
@@ -585,7 +561,6 @@ fn handle_query_arrival(
             &mut stored,
             tuple.as_ref(),
             schema,
-            ctx,
             &programs,
             counters,
             |start, pub_time| {
@@ -607,11 +582,7 @@ fn handle_query_arrival(
         // query itself stays, waiting for newer tuples.
     }
     counters.eval_nanos += walk.elapsed().as_nanos() as u64;
-    if indexed {
-        state.trigger_index.note_span_probe(bucket_len, probed);
-    } else {
-        state.trigger_index.note_linear_walk();
-    }
+    state.trigger_index.note_span_probe(bucket_len, probed);
     span.clear();
     state.span_scratch = span;
 
@@ -722,7 +693,6 @@ fn handle_hypercube_arrival(
                 &mut partials[idx],
                 tuple.as_ref(),
                 schema,
-                ctx,
                 &programs,
                 counters,
                 |start, pub_time| {
@@ -1535,47 +1505,36 @@ mod tests {
     /// Regression for the `Partial`-with-empty-`FROM` wart: a trigger that
     /// resolves the whole `WHERE` clause but leaves a `SELECT` attribute
     /// unresolvable must not re-index (and thus never store) an empty-`FROM`
-    /// child — on the interpreted *and* the compiled path.
+    /// child.
     #[test]
     fn orphan_select_never_stores_an_empty_from_child() {
-        for compiled in [true, false] {
-            let catalog = catalog();
-            let config = EngineConfig::default().with_compiled_predicates(compiled);
-            let mut state = NodeState::new(Id(1));
-            let key = IndexKey::attribute("R", "A");
-            let p = PendingQuery::input(
-                QueryId { owner: Id(42), seq: 9 },
-                Id(42),
-                0,
-                orphan_select_query(),
-            );
-            handle_index_query(
-                &mut state,
-                &ctx(&catalog, &config, 0),
-                p,
-                &key.hashed(),
-                key.level(),
-            );
-            let actions = handle_new_tuple(
-                &mut state,
-                &ctx(&catalog, &config, 5),
-                &tuple("R", [7, 9, 0], 5),
-                &key.hashed(),
-                IndexLevel::Attribute,
-            );
-            assert!(
-                actions.is_empty(),
-                "an unresolvable SELECT must not trigger (compiled={compiled}): {actions:?}"
-            );
-            assert_eq!(state.stored_query_count(), 1);
-            for bucket in state.stored_queries.values() {
-                for handle in bucket {
-                    let stored = state.queries.get(*handle).unwrap();
-                    assert!(
-                        !stored.pending.query.relations().is_empty(),
-                        "no empty-FROM query may ever be stored (compiled={compiled})"
-                    );
-                }
+        let catalog = catalog();
+        let config = config();
+        let mut state = NodeState::new(Id(1));
+        let key = IndexKey::attribute("R", "A");
+        let p = PendingQuery::input(
+            QueryId { owner: Id(42), seq: 9 },
+            Id(42),
+            0,
+            orphan_select_query(),
+        );
+        handle_index_query(&mut state, &ctx(&catalog, &config, 0), p, &key.hashed(), key.level());
+        let actions = handle_new_tuple(
+            &mut state,
+            &ctx(&catalog, &config, 5),
+            &tuple("R", [7, 9, 0], 5),
+            &key.hashed(),
+            IndexLevel::Attribute,
+        );
+        assert!(actions.is_empty(), "an unresolvable SELECT must not trigger: {actions:?}");
+        assert_eq!(state.stored_query_count(), 1);
+        for bucket in state.stored_queries.values() {
+            for handle in bucket {
+                let stored = state.queries.get(*handle).unwrap();
+                assert!(
+                    !stored.pending.query.relations().is_empty(),
+                    "no empty-FROM query may ever be stored"
+                );
             }
         }
     }
@@ -1583,7 +1542,7 @@ mod tests {
     /// The program cache is keyed by sub-join fingerprint and confirmed
     /// structurally: two stored queries that differ only in `SELECT` share
     /// one compiled program (one compile, one cache hit, two compiled
-    /// rewrites — and no interpreted ones).
+    /// rewrites).
     #[test]
     fn fingerprint_twins_share_one_compiled_program() {
         let catalog = catalog();
@@ -1606,30 +1565,5 @@ mod tests {
         assert_eq!(counters.programs_compiled, 1, "{counters:?}");
         assert_eq!(counters.cache_hits, 1, "{counters:?}");
         assert_eq!(counters.compiled_rewrites, 2, "{counters:?}");
-        assert_eq!(counters.interpreted_rewrites, 0, "{counters:?}");
-    }
-
-    /// With compiled predicates disabled every trigger takes the interpreter
-    /// path and no program is ever compiled.
-    #[test]
-    fn interpreter_config_never_compiles() {
-        let catalog = catalog();
-        let config = EngineConfig::default().with_compiled_predicates(false);
-        let mut state = NodeState::new(Id(1));
-        let key = IndexKey::attribute("R", "A");
-        let p = pending("SELECT R.B, S.B FROM R, S WHERE R.A = S.A", 0);
-        handle_index_query(&mut state, &ctx(&catalog, &config, 0), p, &key.hashed(), key.level());
-        let actions = handle_new_tuple(
-            &mut state,
-            &ctx(&catalog, &config, 5),
-            &tuple("R", [7, 9, 0], 5),
-            &key.hashed(),
-            IndexLevel::Attribute,
-        );
-        assert_eq!(actions.len(), 1);
-        let counters = state.compile_counters();
-        assert_eq!(counters.programs_compiled, 0, "{counters:?}");
-        assert_eq!(counters.compiled_rewrites, 0, "{counters:?}");
-        assert!(counters.interpreted_rewrites >= 1, "{counters:?}");
     }
 }

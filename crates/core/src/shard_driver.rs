@@ -1,17 +1,17 @@
 //! The sharded drain: persistent per-shard workers with conservative
 //! clock synchronization.
 //!
-//! [`drain_sharded`] is the `shards > 1` implementation behind
-//! [`RJoinEngine::run_until_quiescent_parallel`](crate::RJoinEngine::run_until_quiescent_parallel).
-//! Where the tick-parallel driver of PR 2 fans *one global tick* out across
-//! threads and re-synchronizes at a barrier, this driver partitions the ring
-//! into contiguous identifier ranges and gives each range a persistent
-//! worker with its own [`rjoin_net::ShardedNetwork`] queue and local clock;
-//! shards only coordinate through the conservative watermark protocol, so
-//! independent cascades on different shards proceed concurrently even when
-//! every tick is thin.
+//! [`drain_sharded`] is what
+//! [`RJoinEngine::run_until_quiescent`](crate::RJoinEngine::run_until_quiescent)
+//! runs when `shards > 1`: the ring is partitioned into contiguous
+//! identifier ranges and each range gets a persistent worker with its own
+//! [`rjoin_net::ShardedNetwork`] queue and local clock. Shards only
+//! coordinate through the conservative watermark protocol, so independent
+//! cascades on different shards proceed concurrently with no global tick
+//! barrier, even when every tick is thin — the shared-nothing layout of a
+//! multicore join.
 //!
-//! Each shard runs the same two-phase tick the other drivers use:
+//! Each shard runs the same two-phase tick the single-queue drain uses:
 //!
 //! 1. **handler phase** — Procedures 1–3 against the shard's own
 //!    [`NodeState`](crate::NodeState)s, in ascending lineage order; then the
@@ -19,7 +19,7 @@
 //! 2. **effect phase** — load accounting, answer buffering and the full
 //!    Sections 6–7 dispatch pipeline ([`dispatch_query_in`] via
 //!    [`perform_actions_in`]), shared verbatim with the single-queue
-//!    drivers through the [`EffectEnv`] trait.
+//!    drain through the [`EffectEnv`] trait.
 //!
 //! Engine-global observations are funneled through per-shard buffers —
 //! answers tagged `(at, lineage)`, per-shard load maps and traffic stats —
@@ -32,8 +32,8 @@
 //! [`CompileCounters`](rjoin_metrics::CompileCounters), so compiled batch
 //! execution needs no cross-shard coordination and the engine's
 //! [`compile_counters`](crate::RJoinEngine::compile_counters) aggregate is
-//! a plain per-node merge after the drain, exactly like the sequential
-//! driver.
+//! a plain per-node merge after the drain, exactly like the single-queue
+//! drain.
 //!
 //! Two ingredients replace the global mutable state of the sequential
 //! effect phase:
@@ -222,7 +222,7 @@ fn run_handlers(
     for d in deliveries {
         if !nodes.contains_key(&d.to) {
             // The node left after the message was sent: lost, exactly as
-            // under the single-queue drivers.
+            // under the single-queue drain.
             effects.push((d.lineage, TickEffect::Lost));
             continue;
         }
@@ -693,7 +693,7 @@ pub(crate) fn drain_sharded(engine: &mut RJoinEngine) -> Result<u64, EngineError
         }
     }
     engine.network.advance_to(final_clock);
-    // Same post-drain expiry flush as the single-queue driver, so state
+    // Same post-drain expiry flush as the single-queue drain, so state
     // snapshots are identical across drivers at quiescence.
     engine.flush_expiry();
     engine.shard_runtime.absorb_drain(shard_count, ticks, deliveries, blocked);

@@ -64,17 +64,15 @@ pub struct ExperimentStats {
     /// zero for purely acyclic workloads).
     pub planner: PlannerCounters,
     /// How the compiled rewrite hot loop behaved: programs compiled, cache
-    /// hits, per-path rewrite counts and per-delivery eval time
-    /// (`interpreted_rewrites` counts triggers when compiled predicates are
-    /// disabled).
+    /// hits, rewrite counts and per-delivery eval time.
     pub compile: CompileCounters,
     /// How the O(active) state machinery behaved: live/peak slab occupancy
     /// per store, scheduled wheel deadlines, and reclamations split into
     /// wheel pops vs contact expirations (all-contact in sweep mode).
     pub state: StateCounters,
-    /// How tuple-arrival probing behaved: indexed probes vs linear walks,
-    /// candidates handed out vs the bucket lengths a linear walk would have
-    /// scanned, the residual share, and the summed per-node peak of indexed
+    /// How tuple-arrival probing behaved: indexed probes, candidates handed
+    /// out vs the bucket lengths a full walk would have scanned, the
+    /// residual share, and the summed per-node peak of indexed
     /// handles. `candidates_probed / bucket_len_total` is the direct measure
     /// of what the value-partitioned trigger index saves.
     pub probe: ProbeCounters,

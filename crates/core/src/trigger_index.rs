@@ -31,10 +31,8 @@
 //!
 //! # Why skipping is sound
 //!
-//! The linear walk (kept as a differential oracle behind
-//! [`crate::EngineConfig::with_trigger_index`]`(false)`) contacts every
-//! entry of the bucket. A skipped entry differs from a contacted one in
-//! two ways only:
+//! A full walk of the bucket would contact every entry. A skipped entry
+//! differs from a contacted one in two ways only:
 //!
 //! * **No `Mismatch` rewrite** — by construction the skipped entry's
 //!   pinned constant filter rejects the tuple, so the contact would have
@@ -63,7 +61,7 @@ use std::hash::{Hash, Hasher};
 
 /// 64-bit digest a value is filed under. Within-column digest collisions
 /// are harmless: a colliding candidate's constant filter rejects the tuple
-/// during the trigger, exactly as the linear walk would have.
+/// during the trigger.
 fn value_digest(value: &Value) -> u64 {
     let mut hasher = RingHasher::default();
     value.hash(&mut hasher);
@@ -128,9 +126,6 @@ struct RingIndex {
 /// docs for the maintenance contract and the soundness argument.
 #[derive(Debug, Clone)]
 pub(crate) struct TriggerIndex {
-    /// Disabled instances no-op on every call (the linear-walk oracle
-    /// mode). Selected once at node creation, before anything is stored.
-    enabled: bool,
     rings: RingMap<RingIndex>,
     /// Handles currently filed across all rings.
     live: usize,
@@ -142,25 +137,11 @@ pub(crate) struct TriggerIndex {
 impl TriggerIndex {
     pub(crate) fn new() -> Self {
         TriggerIndex {
-            enabled: true,
             rings: RingMap::default(),
             live: 0,
             counters: ProbeCounters::new(),
             scratch: Vec::new(),
         }
-    }
-
-    /// Selects indexed probing or the linear-walk oracle. Must be called
-    /// before any query is stored (the engine configures nodes at
-    /// creation): enabling an index that missed earlier insertions would
-    /// skip live entries.
-    pub(crate) fn configure(&mut self, enabled: bool) {
-        debug_assert!(self.live == 0, "trigger index reconfigured with entries filed");
-        self.enabled = enabled;
-    }
-
-    pub(crate) fn enabled(&self) -> bool {
-        self.enabled
     }
 
     /// Snapshot of the probe counters.
@@ -182,9 +163,6 @@ impl TriggerIndex {
 
     /// Files a stored entry's handle under its pin (or the residual list).
     pub(crate) fn insert(&mut self, ring: u64, handle: Handle, stored: &StoredQuery) {
-        if !self.enabled {
-            return;
-        }
         let ring_index = self.rings.entry(ring).or_default();
         match entry_pin(stored) {
             None => ring_index.residual.push(handle),
@@ -217,9 +195,6 @@ impl TriggerIndex {
     /// Unfiles a removed entry's handle. `stored` must be the entry the
     /// handle was inserted with (the pin is recomputed from it).
     pub(crate) fn remove(&mut self, ring: u64, handle: Handle, stored: &StoredQuery) {
-        if !self.enabled {
-            return;
-        }
         let Some(ring_index) = self.rings.get_mut(&ring) else {
             debug_assert!(false, "trigger-index removal from an unindexed ring");
             return;
@@ -256,9 +231,6 @@ impl TriggerIndex {
 
     /// Tears down a whole ring's partition (churn drained the bucket).
     pub(crate) fn remove_ring(&mut self, ring: u64) {
-        if !self.enabled {
-            return;
-        }
         if let Some(ring_index) = self.rings.remove(&ring) {
             self.live -= ring_index.live;
         }
@@ -303,11 +275,6 @@ impl TriggerIndex {
             }
         }
         self.counters.candidates_probed += out.len() as u64;
-    }
-
-    /// Books one linear bucket walk (oracle mode).
-    pub(crate) fn note_linear_walk(&mut self) {
-        self.counters.linear_walks += 1;
     }
 
     /// Books one span-bounded eval walk: an arriving query probed `probed`
@@ -473,22 +440,5 @@ mod tests {
         let t = tuple("R", vec![Value::from(2), Value::from(0), Value::from(0)], 0);
         index.collect_candidates(ring, &t, &schema, 0, &mut out);
         assert!(out.is_empty());
-    }
-
-    #[test]
-    fn disabled_index_noops() {
-        let mut index = TriggerIndex::new();
-        index.configure(false);
-        let s = stored(
-            "SELECT S.B FROM R, S WHERE R.A = 2 AND R.C = S.C",
-            "R+C",
-            IndexLevel::Attribute,
-        );
-        let handle = handles(1)[0];
-        index.insert(7, handle, &s);
-        assert_eq!(index.live(), 0);
-        index.remove(7, handle, &s);
-        index.remove_ring(7);
-        assert_eq!(index.counters(), ProbeCounters::default());
     }
 }

@@ -1,32 +1,20 @@
-//! Engine-level differential tests of the compiled predicate-program hot
-//! loop: for every configuration variant and shard count, the compiled
-//! engine must deliver **byte-identical** per-query answers — same rows, in
-//! the same delivery order — as the interpreter it replaces, while the
-//! compile counters show that each run actually took the path it claims.
+//! Engine-level tests of the compiled predicate-program hot loop: for every
+//! configuration variant and shard count, the answers must match the
+//! centralized windowed oracle — exactly where the configuration's answers
+//! do not depend on placement, as a sound sub-bag where they do — while the
+//! compile counters show the programs were compiled, shared and run.
 //!
 //! The shard counts exercised honor the `RJOIN_SHARDS` environment variable
 //! (comma-separated, e.g. `RJOIN_SHARDS=1,4`), which is what the CI
 //! shard-count matrix sets; the default covers `1,4`.
 
+mod common;
+
+use common::{assert_exact, assert_sound, shard_counts, windowed_oracle_answers};
 use rjoin_core::{EngineConfig, QueryId, RJoinEngine};
 use rjoin_query::JoinQuery;
 use rjoin_relation::Tuple;
 use rjoin_workload::Scenario;
-
-/// Shard counts to exercise, from `RJOIN_SHARDS` (default `1,4`). A count
-/// of 1 runs the single-queue driver, larger counts the sharded runtime.
-fn shard_counts() -> Vec<usize> {
-    std::env::var("RJOIN_SHARDS")
-        .ok()
-        .map(|v| {
-            v.split(',')
-                .filter_map(|s| s.trim().parse::<usize>().ok())
-                .filter(|&n| n >= 1)
-                .collect::<Vec<_>>()
-        })
-        .filter(|v| !v.is_empty())
-        .unwrap_or_else(|| vec![1, 4])
-}
 
 fn workload() -> (Scenario, Vec<JoinQuery>, Vec<Tuple>) {
     let scenario = Scenario {
@@ -47,23 +35,27 @@ fn workload() -> (Scenario, Vec<JoinQuery>, Vec<Tuple>) {
 }
 
 /// The configuration variants the hot loop runs under in the rest of the
-/// suite: default placement, value-level rewrites, shared sub-joins, ALTT
-/// retention and hot-key splitting.
-fn variants() -> Vec<(&'static str, EngineConfig)> {
+/// suite, each with whether its answers are placement-independent: default
+/// placement, value-level rewrites, shared sub-joins, ALTT retention and
+/// hot-key splitting.
+fn variants() -> Vec<(&'static str, EngineConfig, bool)> {
     vec![
-        ("default", EngineConfig::default()),
-        ("value_level", EngineConfig::default().with_value_level_only(true)),
-        ("shared", EngineConfig::default().with_value_level_only(true).with_subjoin_sharing(true)),
-        ("altt", EngineConfig::default().with_altt(200)),
-        ("split", EngineConfig::default().with_hot_key_splitting(4, 2)),
+        ("default", EngineConfig::default(), false),
+        ("value_level", EngineConfig::default().with_value_level_only(true), true),
+        (
+            "shared",
+            EngineConfig::default().with_value_level_only(true).with_subjoin_sharing(true),
+            true,
+        ),
+        ("altt", EngineConfig::default().with_altt(200), true),
+        ("split", EngineConfig::default().with_hot_key_splitting(4, 2), false),
     ]
 }
 
-fn run(config: EngineConfig, shards: usize, compiled: bool) -> (RJoinEngine, Vec<QueryId>) {
+fn run(config: EngineConfig, shards: usize) -> (RJoinEngine, Vec<QueryId>) {
     let (scenario, queries, tuples) = workload();
-    let config = config.with_shards(shards).with_compiled_predicates(compiled);
     let catalog = scenario.workload_schema().build_catalog();
-    let mut engine = RJoinEngine::new(config, catalog, scenario.nodes);
+    let mut engine = RJoinEngine::simulated(config.with_shards(shards), catalog, scenario.nodes);
     let origins: Vec<_> = engine.node_ids().to_vec();
     let mut qids = Vec::with_capacity(queries.len());
     for (i, q) in queries.iter().enumerate() {
@@ -73,48 +65,45 @@ fn run(config: EngineConfig, shards: usize, compiled: bool) -> (RJoinEngine, Vec
     for (i, t) in tuples.iter().enumerate() {
         engine.publish_tuple(origins[i % origins.len()], t.clone()).unwrap();
     }
-    if shards > 1 {
-        engine.run_until_quiescent_parallel().unwrap();
-    } else {
-        engine.run_until_quiescent().unwrap();
-    }
+    engine.run_until_quiescent().unwrap();
     (engine, qids)
 }
 
-/// The acceptance gate of the compile PR: across every configuration
-/// variant and shard count, compiled and interpreted runs deliver the same
-/// per-query answer logs byte for byte.
+/// Across every configuration variant and shard count, the compiled engine
+/// delivers the oracle's answers: the whole bag where placement cannot
+/// lose answers, a sound sub-bag where it can.
 #[test]
-fn compiled_answers_are_byte_identical_to_the_interpreter() {
+fn compiled_answers_match_the_oracle() {
+    let (scenario, queries, tuples) = workload();
+    let catalog = scenario.workload_schema().build_catalog();
     for shards in shard_counts() {
-        for (name, config) in variants() {
-            let (compiled, qids) = run(config.clone(), shards, true);
-            let (interpreted, qids_b) = run(config, shards, false);
-            assert_eq!(qids, qids_b);
+        for (name, config, exact) in variants() {
+            let (engine, qids) = run(config, shards);
             assert!(
-                !compiled.answers().is_empty(),
+                !engine.answers().is_empty(),
                 "the {name} workload must deliver answers (shards={shards})"
             );
-            for qid in &qids {
-                assert_eq!(
-                    compiled.answers().rows_for(*qid),
-                    interpreted.answers().rows_for(*qid),
-                    "compiled and interpreted answers diverge for {qid} \
-                     under variant={name} shards={shards}"
-                );
+            for (qid, query) in qids.iter().zip(&queries) {
+                let tag = format!("{qid} under variant={name} shards={shards}");
+                let expected = windowed_oracle_answers(&catalog, query, 0, &tuples);
+                let delivered = engine.answers().rows_for(*qid);
+                if exact {
+                    assert_exact(&tag, delivered, expected);
+                } else {
+                    assert_sound(&tag, delivered, expected);
+                }
             }
         }
     }
 }
 
-/// Each run takes the path its configuration claims: compiled runs compile
-/// programs and never fall back to the interpreter, interpreted runs never
-/// compile. The fingerprint cache must see hits on the overlapping
-/// workload, and the per-delivery timer must have accumulated.
+/// Every trigger runs a compiled program: programs are compiled, the
+/// fingerprint cache sees hits on the overlapping workload, no rewrite is
+/// interpreted, and the per-delivery timer has accumulated.
 #[test]
 fn compile_counters_reflect_the_configured_path() {
     for shards in shard_counts() {
-        let (compiled, _) = run(EngineConfig::default(), shards, true);
+        let (compiled, _) = run(EngineConfig::default(), shards);
         let c = compiled.compile_counters();
         assert!(c.programs_compiled > 0, "shards={shards}: {c:?}");
         assert!(c.cache_hits > 0, "overlapping twins must hit the cache: {c:?}");
@@ -122,12 +111,5 @@ fn compile_counters_reflect_the_configured_path() {
         assert_eq!(c.interpreted_rewrites, 0, "shards={shards}: {c:?}");
         assert!(c.eval_nanos > 0, "the trigger walks must be timed: {c:?}");
         assert_eq!(compiled.stats().compile, c, "stats snapshot must carry the counters");
-
-        let (interpreted, _) = run(EngineConfig::default(), shards, false);
-        let i = interpreted.compile_counters();
-        assert_eq!(i.programs_compiled, 0, "shards={shards}: {i:?}");
-        assert_eq!(i.compiled_rewrites, 0, "shards={shards}: {i:?}");
-        assert!(i.interpreted_rewrites > 0, "shards={shards}: {i:?}");
-        assert!(!i.any_compiled(), "shards={shards}: {i:?}");
     }
 }

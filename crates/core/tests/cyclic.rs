@@ -6,122 +6,13 @@
 //! (acyclic stays on the rewrite pipeline) and the fail-fast
 //! `CyclicShape` rejection when the hypercube planner is disabled.
 
+mod common;
+
+use common::{shard_counts, sorted, windowed_oracle_answers};
 use rjoin_core::{EngineConfig, EngineError, QueryId, RJoinEngine};
-use rjoin_query::{parse_query, Conjunct, JoinQuery, QueryError, SelectItem};
-use rjoin_relation::{Catalog, Timestamp, Tuple, Value};
+use rjoin_query::{parse_query, QueryError};
+use rjoin_relation::{Timestamp, Tuple, Value};
 use rjoin_workload::Scenario;
-
-/// Shard counts to exercise, from `RJOIN_SHARDS` (default `1,4`), exactly
-/// like the sharding suite.
-fn shard_counts() -> Vec<usize> {
-    std::env::var("RJOIN_SHARDS")
-        .ok()
-        .map(|v| {
-            v.split(',')
-                .filter_map(|s| s.trim().parse::<usize>().ok())
-                .filter(|&n| n >= 1)
-                .collect::<Vec<_>>()
-        })
-        .filter(|v| !v.is_empty())
-        .unwrap_or_else(|| vec![1, 4])
-}
-
-fn attr_value<'a>(
-    catalog: &Catalog,
-    relations: &[rjoin_relation::Name],
-    combo: &[&'a Tuple],
-    relation: &str,
-    attribute: &str,
-) -> Option<&'a Value> {
-    let idx = relations.iter().position(|r| r == relation)?;
-    let schema = catalog.schema(relation)?;
-    combo[idx].value(schema.index_of(attribute)?)
-}
-
-fn satisfies(
-    catalog: &Catalog,
-    query: &JoinQuery,
-    relations: &[rjoin_relation::Name],
-    combo: &[&Tuple],
-) -> bool {
-    query.conjuncts().iter().all(|conjunct| match conjunct {
-        Conjunct::JoinEq(a, b) => {
-            attr_value(catalog, relations, combo, &a.relation, &a.attribute)
-                == attr_value(catalog, relations, combo, &b.relation, &b.attribute)
-        }
-        Conjunct::ConstEq(a, v) => {
-            attr_value(catalog, relations, combo, &a.relation, &a.attribute) == Some(v)
-        }
-    })
-}
-
-fn project(
-    catalog: &Catalog,
-    query: &JoinQuery,
-    relations: &[rjoin_relation::Name],
-    combo: &[&Tuple],
-) -> Vec<Value> {
-    query
-        .select()
-        .iter()
-        .map(|item| match item {
-            SelectItem::Const(v) => v.clone(),
-            SelectItem::Attr(a) => attr_value(catalog, relations, combo, &a.relation, &a.attribute)
-                .cloned()
-                .expect("valid queries only reference existing attributes"),
-        })
-        .collect()
-}
-
-fn sorted(mut rows: Vec<Vec<Value>>) -> Vec<Vec<Value>> {
-    rows.sort();
-    rows
-}
-
-/// Brute-force windowed evaluation (Definition 1 + the Section 5 validity
-/// test applied to the whole combination) — shape-agnostic, so it covers
-/// cyclic `WHERE` clauses that the rewrite pipeline cannot run.
-fn windowed_oracle_answers(
-    catalog: &Catalog,
-    query: &JoinQuery,
-    insert_time: Timestamp,
-    tuples: &[Tuple],
-) -> Vec<Vec<Value>> {
-    let window = *query.window();
-    let relations = query.relations();
-    let per_relation: Vec<Vec<&Tuple>> = relations
-        .iter()
-        .map(|r| {
-            tuples.iter().filter(|t| t.relation() == r && t.pub_time() >= insert_time).collect()
-        })
-        .collect();
-    if per_relation.iter().any(|v| v.is_empty()) {
-        return Vec::new();
-    }
-
-    let mut results = Vec::new();
-    let mut indices = vec![0usize; relations.len()];
-    loop {
-        let combo: Vec<&Tuple> = indices.iter().zip(&per_relation).map(|(&i, v)| v[i]).collect();
-        let earliest = combo.iter().map(|t| t.pub_time()).min().expect("non-empty combo");
-        let latest = combo.iter().map(|t| t.pub_time()).max().expect("non-empty combo");
-        if window.within(earliest, latest) && satisfies(catalog, query, relations, &combo) {
-            results.push(project(catalog, query, relations, &combo));
-        }
-        let mut pos = 0;
-        loop {
-            indices[pos] += 1;
-            if indices[pos] < per_relation[pos].len() {
-                break;
-            }
-            indices[pos] = 0;
-            pos += 1;
-            if pos == relations.len() {
-                return results;
-            }
-        }
-    }
-}
 
 /// Per-query sorted answer rows, in query-submission order.
 type AnswersByQuery = Vec<(QueryId, Vec<Vec<Value>>)>;
@@ -141,17 +32,9 @@ fn run(
     config: EngineConfig,
     churn: bool,
 ) -> (RJoinEngine, AnswersByQuery, Vec<Tuple>) {
-    let shards = config.shards;
     let catalog = scenario.workload_schema().build_catalog();
-    let mut engine = RJoinEngine::new(config, catalog, scenario.nodes);
+    let mut engine = RJoinEngine::simulated(config, catalog, scenario.nodes);
     let origins: Vec<_> = engine.node_ids().to_vec();
-    let drain = |engine: &mut RJoinEngine| {
-        if shards > 1 {
-            engine.run_until_quiescent_parallel().unwrap()
-        } else {
-            engine.run_until_quiescent().unwrap()
-        }
-    };
 
     let mut qids = Vec::new();
     let mut owners = Vec::new();
@@ -160,18 +43,18 @@ fn run(
         owners.push(origin);
         qids.push(engine.submit_query(origin, q).unwrap());
     }
-    drain(&mut engine);
+    engine.run_until_quiescent().unwrap();
 
     let tuples = scenario.generate_tuples(engine.now() + 1);
     let churn_points = [tuples.len() / 3, 2 * tuples.len() / 3];
     for (i, t) in tuples.iter().enumerate() {
         if churn && i == churn_points[0] {
-            drain(&mut engine);
+            engine.run_until_quiescent().unwrap();
             engine.join_node("cyclic-churn-join-a").unwrap();
             engine.join_node("cyclic-churn-join-b").unwrap();
         }
         if churn && i == churn_points[1] {
-            drain(&mut engine);
+            engine.run_until_quiescent().unwrap();
             // A query owner must not leave: answers are delivered to it.
             let leaver = engine
                 .node_ids()
@@ -184,7 +67,7 @@ fn run(
         let origin = engine.node_ids()[i % engine.node_ids().len()];
         engine.publish_tuple(origin, t.clone()).unwrap();
     }
-    drain(&mut engine);
+    engine.run_until_quiescent().unwrap();
 
     let answers: AnswersByQuery =
         qids.into_iter().map(|qid| (qid, sorted(engine.answers().rows_for(qid)))).collect();
@@ -257,23 +140,16 @@ fn explicit_triangle_matches_oracle_and_is_shard_deterministic() {
     let mut per_shards: Vec<Vec<Vec<Value>>> = Vec::new();
     for shards in [1usize, 2, 4] {
         let config = EngineConfig::default().with_shards(shards);
-        let mut engine = RJoinEngine::new(config, catalog.clone(), 24);
+        let mut engine = RJoinEngine::simulated(config, catalog.clone(), 24);
         let origin = engine.node_ids()[0];
-        let drain = |engine: &mut RJoinEngine| {
-            if shards > 1 {
-                engine.run_until_quiescent_parallel().unwrap()
-            } else {
-                engine.run_until_quiescent().unwrap()
-            }
-        };
         let qid = engine.submit_query(origin, query.clone()).unwrap();
-        drain(&mut engine);
+        engine.run_until_quiescent().unwrap();
         let tuples = make_tuples(engine.now() + 1);
         for (i, t) in tuples.iter().enumerate() {
             let origin = engine.node_ids()[i % engine.node_ids().len()];
             engine.publish_tuple(origin, t.clone()).unwrap();
         }
-        drain(&mut engine);
+        engine.run_until_quiescent().unwrap();
 
         let expected = sorted(windowed_oracle_answers(&catalog, &query, 0, &tuples));
         assert_eq!(expected.len(), 2, "the hand-placed workload forms exactly two triangles");
@@ -373,7 +249,7 @@ fn cyclic_shape_is_rejected_when_planner_disabled() {
     let scenario = Scenario::cyclic_test();
     let catalog = scenario.workload_schema().build_catalog();
     let config = EngineConfig::default().with_hypercube_planner(false);
-    let mut engine = RJoinEngine::new(config, catalog, scenario.nodes);
+    let mut engine = RJoinEngine::simulated(config, catalog, scenario.nodes);
     let origin = engine.node_ids()[0];
 
     let triangle = scenario.generate_queries().remove(0);
@@ -397,7 +273,7 @@ fn cyclic_shape_is_rejected_when_planner_disabled() {
 fn cost_model_picks_pipeline_for_acyclic_and_hypercube_for_cyclic() {
     let scenario = Scenario::cyclic_test();
     let catalog = scenario.workload_schema().build_catalog();
-    let mut engine = RJoinEngine::new(EngineConfig::default(), catalog, scenario.nodes);
+    let mut engine = RJoinEngine::simulated(EngineConfig::default(), catalog, scenario.nodes);
     let origin = engine.node_ids()[0];
 
     let chain =

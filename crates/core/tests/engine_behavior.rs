@@ -1,6 +1,9 @@
 //! Behavioural tests of the engine: traffic accounting, RIC reuse, window
 //! kinds, and robustness to node churn.
 
+mod common;
+
+use common::{assert_exact, assert_sound, shard_counts, windowed_oracle_answers};
 use rjoin_core::{traffic_class, EngineConfig, PlacementStrategy, RJoinEngine};
 use rjoin_query::parse_query;
 use rjoin_relation::{Catalog, Schema, Tuple, Value};
@@ -31,10 +34,14 @@ fn ric_reuse_reduces_ric_traffic() {
     let scenario = Scenario { nodes: 32, queries: 150, tuples: 80, ..Scenario::small_test() };
     let catalog = scenario.workload_schema().build_catalog();
 
-    let mut with_reuse = RJoinEngine::new(EngineConfig::default(), catalog.clone(), scenario.nodes);
+    let mut with_reuse =
+        RJoinEngine::simulated(EngineConfig::default(), catalog.clone(), scenario.nodes);
     drive(&mut with_reuse, &scenario);
-    let mut without_reuse =
-        RJoinEngine::new(EngineConfig::default().with_ric_reuse(false), catalog, scenario.nodes);
+    let mut without_reuse = RJoinEngine::simulated(
+        EngineConfig::default().with_ric_reuse(false),
+        catalog,
+        scenario.nodes,
+    );
     drive(&mut without_reuse, &scenario);
 
     let ric_with = with_reuse.traffic().total_sent_class(traffic_class::RIC);
@@ -49,7 +56,7 @@ fn ric_reuse_reduces_ric_traffic() {
 fn traffic_classes_sum_to_total() {
     let scenario = Scenario { nodes: 32, queries: 120, tuples: 60, ..Scenario::small_test() };
     let catalog = scenario.workload_schema().build_catalog();
-    let mut engine = RJoinEngine::new(EngineConfig::default(), catalog, scenario.nodes);
+    let mut engine = RJoinEngine::simulated(EngineConfig::default(), catalog, scenario.nodes);
     drive(&mut engine, &scenario);
 
     let traffic = engine.traffic();
@@ -72,7 +79,7 @@ fn traffic_classes_sum_to_total() {
 fn random_strategy_sends_no_ric_traffic() {
     let scenario = Scenario { nodes: 32, queries: 100, tuples: 40, ..Scenario::small_test() };
     let catalog = scenario.workload_schema().build_catalog();
-    let mut engine = RJoinEngine::new(
+    let mut engine = RJoinEngine::simulated(
         EngineConfig::with_placement(PlacementStrategy::Random),
         catalog,
         scenario.nodes,
@@ -80,7 +87,7 @@ fn random_strategy_sends_no_ric_traffic() {
     drive(&mut engine, &scenario);
     assert_eq!(engine.traffic().total_sent_class(traffic_class::RIC), 0);
 
-    let mut worst = RJoinEngine::new(
+    let mut worst = RJoinEngine::simulated(
         EngineConfig::with_placement(PlacementStrategy::Worst),
         scenario.workload_schema().build_catalog(),
         scenario.nodes,
@@ -94,7 +101,7 @@ fn random_strategy_sends_no_ric_traffic() {
 fn tumbling_windows_partition_answers() {
     // Two tuples in the same tumbling bucket join; tuples in different
     // buckets do not.
-    let mut engine = RJoinEngine::new(EngineConfig::default(), catalog(), 24);
+    let mut engine = RJoinEngine::simulated(EngineConfig::default(), catalog(), 24);
     let node = engine.node_ids()[0];
     let q =
         parse_query("SELECT R.B, S.B FROM R, S WHERE R.A = S.A WINDOW TUMBLING 10 TIME").unwrap();
@@ -122,7 +129,7 @@ fn tumbling_windows_partition_answers() {
 
 #[test]
 fn time_sliding_window_expires_old_combinations() {
-    let mut engine = RJoinEngine::new(EngineConfig::default(), catalog(), 24);
+    let mut engine = RJoinEngine::simulated(EngineConfig::default(), catalog(), 24);
     let node = engine.node_ids()[0];
     let q = parse_query("SELECT R.B, S.B FROM R, S WHERE R.A = S.A WINDOW SLIDING 5 TIME").unwrap();
     let qid = engine.submit_query(node, q).unwrap();
@@ -142,7 +149,7 @@ fn time_sliding_window_expires_old_combinations() {
 
 #[test]
 fn unknown_origin_nodes_are_rejected() {
-    let mut engine = RJoinEngine::new(EngineConfig::default(), catalog(), 8);
+    let mut engine = RJoinEngine::simulated(EngineConfig::default(), catalog(), 8);
     let bogus = rjoin_dht::Id::hash_key("not-a-member");
     let q = parse_query("SELECT R.A FROM R WHERE R.A = 1").unwrap();
     assert!(engine.submit_query(bogus, q).is_err());
@@ -152,7 +159,7 @@ fn unknown_origin_nodes_are_rejected() {
 
 #[test]
 fn invalid_queries_and_tuples_are_rejected() {
-    let mut engine = RJoinEngine::new(EngineConfig::default(), catalog(), 8);
+    let mut engine = RJoinEngine::simulated(EngineConfig::default(), catalog(), 8);
     let node = engine.node_ids()[0];
     // Unknown relation in the query.
     let q = parse_query("SELECT Z.A FROM Z WHERE Z.A = 1").unwrap();
@@ -169,7 +176,7 @@ fn invalid_queries_and_tuples_are_rejected() {
 fn node_failure_after_indexing_loses_messages_but_not_the_engine() {
     let scenario = Scenario { nodes: 32, queries: 60, tuples: 30, ..Scenario::small_test() };
     let catalog = scenario.workload_schema().build_catalog();
-    let mut engine = RJoinEngine::new(EngineConfig::default(), catalog, scenario.nodes);
+    let mut engine = RJoinEngine::simulated(EngineConfig::default(), catalog, scenario.nodes);
     let nodes = engine.node_ids().to_vec();
     for (i, q) in scenario.generate_queries().into_iter().enumerate() {
         engine.submit_query(nodes[i % nodes.len()], q).unwrap();
@@ -191,63 +198,58 @@ fn node_failure_after_indexing_loses_messages_but_not_the_engine() {
     assert!(engine.total_qpl() > 0);
 }
 
-/// The tick-parallel driver must be observably indistinguishable from the
-/// sequential one: same answers (values and multiplicities), same loads,
-/// same traffic, on a seeded scenario whose fat publication tick actually
-/// exercises the threaded path.
+/// Fat ticks: every tuple is published at the same instant, so the
+/// deliveries pile up into large ticks. Under every shard count the drain
+/// must still deliver the oracle's answers — exactly with value-level
+/// rewrites, as a sound sub-bag under the default placement.
 #[test]
-fn parallel_tick_loop_matches_sequential_loop() {
+fn same_instant_publication_matches_the_oracle() {
     let scenario = Scenario { nodes: 32, queries: 150, tuples: 80, ..Scenario::small_test() };
-
-    let run = |parallel: bool| {
-        let catalog = scenario.workload_schema().build_catalog();
-        let mut engine = RJoinEngine::new(EngineConfig::default(), catalog, scenario.nodes);
-        let nodes = engine.node_ids().to_vec();
-        let mut qids = Vec::new();
-        for (i, q) in scenario.generate_queries().into_iter().enumerate() {
-            qids.push(engine.submit_query(nodes[i % nodes.len()], q).unwrap());
-        }
-        let drain = |e: &mut RJoinEngine| {
-            if parallel {
-                e.run_until_quiescent_parallel().unwrap()
-            } else {
-                e.run_until_quiescent().unwrap()
+    let catalog = scenario.workload_schema().build_catalog();
+    let queries = scenario.generate_queries();
+    for shards in shard_counts() {
+        for (name, config, exact) in [
+            ("default", EngineConfig::default(), false),
+            ("value_level", EngineConfig::default().with_value_level_only(true), true),
+        ] {
+            let config = config.with_shards(shards);
+            let mut engine = RJoinEngine::simulated(config, catalog.clone(), scenario.nodes);
+            let nodes = engine.node_ids().to_vec();
+            let mut qids = Vec::new();
+            for (i, q) in queries.iter().enumerate() {
+                qids.push(engine.submit_query(nodes[i % nodes.len()], q.clone()).unwrap());
             }
-        };
-        drain(&mut engine);
-        // Publish every tuple at the same instant so the deliveries pile up
-        // into large ticks and the parallel driver spawns real workers.
-        let publish_at = engine.now() + 1;
-        for (i, t) in scenario.generate_tuples(publish_at).into_iter().enumerate() {
-            engine.publish_tuple(nodes[i % nodes.len()], t.with_pub_time(publish_at)).unwrap();
+            engine.run_until_quiescent().unwrap();
+            let publish_at = engine.now() + 1;
+            let tuples: Vec<Tuple> = scenario
+                .generate_tuples(publish_at)
+                .into_iter()
+                .map(|t| t.with_pub_time(publish_at))
+                .collect();
+            for (i, t) in tuples.iter().enumerate() {
+                engine.publish_tuple(nodes[i % nodes.len()], t.clone()).unwrap();
+            }
+            assert!(engine.run_until_quiescent().unwrap() > 0);
+            assert!(!engine.answers().is_empty(), "{name}: the scenario should produce answers");
+            for (qid, query) in qids.iter().zip(&queries) {
+                let tag = format!("{qid} under {name}, shards={shards}");
+                let expected = windowed_oracle_answers(&catalog, query, 0, &tuples);
+                let delivered = engine.answers().rows_for(*qid);
+                if exact {
+                    assert_exact(&tag, delivered, expected);
+                } else {
+                    assert_sound(&tag, delivered, expected);
+                }
+            }
         }
-        let processed = drain(&mut engine);
-        let mut rows: Vec<_> = qids.iter().flat_map(|q| engine.answers().rows_for(*q)).collect();
-        rows.sort();
-        let per_node_qpl: Vec<u64> =
-            engine.node_ids().iter().map(|id| engine.qpl_per_node().get(id)).collect();
-        (
-            processed,
-            engine.answers().len(),
-            engine.total_qpl(),
-            engine.total_sl(),
-            engine.traffic().total_sent(),
-            per_node_qpl,
-            rows,
-        )
-    };
-
-    let sequential = run(false);
-    let parallel = run(true);
-    assert!(sequential.1 > 0, "the scenario should produce answers");
-    assert_eq!(sequential, parallel, "parallel tick loop diverged from the sequential loop");
+    }
 }
 
 #[test]
 fn stats_snapshot_is_internally_consistent() {
     let scenario = Scenario { nodes: 24, queries: 80, tuples: 40, ..Scenario::small_test() };
     let catalog = scenario.workload_schema().build_catalog();
-    let mut engine = RJoinEngine::new(EngineConfig::default(), catalog, scenario.nodes);
+    let mut engine = RJoinEngine::simulated(EngineConfig::default(), catalog, scenario.nodes);
     drive(&mut engine, &scenario);
 
     let stats = engine.stats();

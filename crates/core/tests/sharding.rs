@@ -7,95 +7,13 @@
 //! variable (comma-separated, e.g. `RJOIN_SHARDS=1,4`), which is what the
 //! CI shard-count matrix sets; the default covers `1,4`.
 
+mod common;
+
+use common::{assert_sound, shard_counts, windowed_oracle_answers};
 use rjoin_core::{EngineConfig, PlacementStrategy, QueryId, RJoinEngine};
-use rjoin_query::{Conjunct, JoinQuery, SelectItem};
-use rjoin_relation::{Catalog, Timestamp, Tuple, Value};
+use rjoin_query::JoinQuery;
+use rjoin_relation::{Catalog, Timestamp, Tuple};
 use rjoin_workload::Scenario;
-
-/// Shard counts to exercise, from `RJOIN_SHARDS` (default `1,4`). A count
-/// of 1 runs the single-queue driver, larger counts the sharded runtime.
-fn shard_counts() -> Vec<usize> {
-    std::env::var("RJOIN_SHARDS")
-        .ok()
-        .map(|v| {
-            v.split(',')
-                .filter_map(|s| s.trim().parse::<usize>().ok())
-                .filter(|&n| n >= 1)
-                .collect::<Vec<_>>()
-        })
-        .filter(|v| !v.is_empty())
-        .unwrap_or_else(|| vec![1, 4])
-}
-
-fn attr_value<'a>(
-    catalog: &Catalog,
-    relations: &[rjoin_relation::Name],
-    combo: &[&'a Tuple],
-    relation: &str,
-    attribute: &str,
-) -> Option<&'a Value> {
-    let idx = relations.iter().position(|r| r == relation)?;
-    let schema = catalog.schema(relation)?;
-    combo[idx].value(schema.index_of(attribute)?)
-}
-
-/// Brute-force evaluation of one query over the published tuples
-/// (Definition 1: one answer per combination of tuples published at or
-/// after the query's submission that satisfies every conjunct).
-fn oracle_answers(
-    catalog: &Catalog,
-    query: &JoinQuery,
-    insert_time: Timestamp,
-    tuples: &[Tuple],
-) -> Vec<Vec<Value>> {
-    let relations = query.relations().to_vec();
-    let pools: Vec<Vec<&Tuple>> = relations
-        .iter()
-        .map(|rel| {
-            tuples.iter().filter(|t| t.relation() == rel && t.pub_time() >= insert_time).collect()
-        })
-        .collect();
-    let mut combos: Vec<Vec<&Tuple>> = vec![Vec::new()];
-    for pool in &pools {
-        let mut next = Vec::new();
-        for combo in &combos {
-            for tuple in pool {
-                let mut extended = combo.clone();
-                extended.push(*tuple);
-                next.push(extended);
-            }
-        }
-        combos = next;
-    }
-    combos
-        .into_iter()
-        .filter(|combo| {
-            query.conjuncts().iter().all(|conjunct| match conjunct {
-                Conjunct::JoinEq(a, b) => {
-                    attr_value(catalog, &relations, combo, &a.relation, &a.attribute)
-                        == attr_value(catalog, &relations, combo, &b.relation, &b.attribute)
-                }
-                Conjunct::ConstEq(a, v) => {
-                    attr_value(catalog, &relations, combo, &a.relation, &a.attribute) == Some(v)
-                }
-            })
-        })
-        .map(|combo| {
-            query
-                .select()
-                .iter()
-                .map(|item| match item {
-                    SelectItem::Const(v) => v.clone(),
-                    SelectItem::Attr(a) => {
-                        attr_value(catalog, &relations, &combo, &a.relation, &a.attribute)
-                            .cloned()
-                            .expect("valid queries only reference existing attributes")
-                    }
-                })
-                .collect()
-        })
-        .collect()
-}
 
 fn churn_scenario() -> Scenario {
     Scenario {
@@ -112,9 +30,9 @@ fn churn_scenario() -> Scenario {
 }
 
 /// Drives the churn workload: queries indexed, tuples published, then —
-/// **while the tuple/Eval cascade is still in flight** — the sequential
-/// driver single-steps partway into the cascade, two nodes join and one
-/// leaves, and the remaining drain runs under the requested driver.
+/// **while the tuple/Eval cascade is still in flight** — the engine
+/// single-steps partway into the cascade, two nodes join and one leaves,
+/// and the remaining drain runs on the requested shard count.
 /// Returns the engine plus everything the oracle needs.
 type ChurnRun = (RJoinEngine, Vec<(QueryId, JoinQuery, Timestamp)>, Vec<Tuple>, Catalog);
 
@@ -124,7 +42,7 @@ fn run_churn(shards: usize) -> ChurnRun {
     let config = EngineConfig::with_placement(PlacementStrategy::FirstInClause)
         .with_altt(200)
         .with_shards(shards);
-    let mut engine = RJoinEngine::new(config, catalog.clone(), scenario.nodes);
+    let mut engine = RJoinEngine::simulated(config, catalog.clone(), scenario.nodes);
     let origins: Vec<_> = engine.node_ids().to_vec();
 
     let mut submitted = Vec::new();
@@ -154,11 +72,7 @@ fn run_churn(shards: usize) -> ChurnRun {
     engine.leave_node(leaver).unwrap();
     assert!(engine.in_flight() > 0, "messages must still be in flight after churn");
 
-    if shards > 1 {
-        engine.run_until_quiescent_parallel().unwrap();
-    } else {
-        engine.run_until_quiescent().unwrap();
-    }
+    engine.run_until_quiescent().unwrap();
     (engine, submitted, tuples, catalog)
 }
 
@@ -176,24 +90,11 @@ fn mid_flight_churn_answers_stay_sound_under_all_drivers() {
             "churn scenario must deliver answers (shards={shards})"
         );
         for (qid, query, insert_time) in &submitted {
-            // Bag inclusion: every delivered row must appear in the oracle's
-            // bag at most as often as the oracle derives it (bag semantics —
-            // distinct tuple combinations may project to equal rows).
-            let mut allowed = oracle_answers(&catalog, query, *insert_time, &tuples);
-            allowed.sort();
-            let mut delivered = engine.answers().rows_for(*qid);
-            delivered.sort();
-            let mut cursor = 0usize;
-            for row in &delivered {
-                while cursor < allowed.len() && allowed[cursor] < *row {
-                    cursor += 1;
-                }
-                assert!(
-                    cursor < allowed.len() && allowed[cursor] == *row,
-                    "unsound or over-delivered answer {row:?} for {qid} under shards={shards}"
-                );
-                cursor += 1;
-            }
+            assert_sound(
+                &format!("{qid} under shards={shards}"),
+                engine.answers().rows_for(*qid),
+                windowed_oracle_answers(&catalog, query, *insert_time, &tuples),
+            );
         }
     }
 }
@@ -217,42 +118,34 @@ fn mid_flight_churn_is_deterministic() {
 }
 
 /// A zero-delay configuration (legal for the single queue) cannot run the
-/// watermark protocol (lookahead = δ): the parallel driver must fall back
-/// to the tick-batched path and stay byte-identical to sequential.
+/// watermark protocol (lookahead = δ): a 4-shard drain must stay on the
+/// single queue and be byte-identical to a 1-shard run.
 #[test]
 fn zero_delay_falls_back_to_the_single_queue_driver() {
     let scenario = churn_scenario();
-    let run = |parallel: bool| {
+    let run = |shards: usize| {
         let catalog = scenario.workload_schema().build_catalog();
-        let mut config = EngineConfig::default().with_shards(4);
+        let mut config = EngineConfig::default().with_shards(shards);
         config.network_delay = 0;
-        let mut engine = RJoinEngine::new(config, catalog, scenario.nodes);
+        let mut engine = RJoinEngine::simulated(config, catalog, scenario.nodes);
         let origins: Vec<_> = engine.node_ids().to_vec();
         for (i, q) in scenario.generate_queries().into_iter().enumerate() {
             engine.submit_query(origins[i % origins.len()], q).unwrap();
         }
-        if parallel {
-            engine.run_until_quiescent_parallel().unwrap();
-        } else {
-            engine.run_until_quiescent().unwrap();
-        }
+        engine.run_until_quiescent().unwrap();
         for (i, t) in scenario.generate_tuples(engine.now() + 1).into_iter().enumerate() {
             engine.publish_tuple(origins[i % origins.len()], t).unwrap();
         }
-        if parallel {
-            engine.run_until_quiescent_parallel().unwrap();
-        } else {
-            engine.run_until_quiescent().unwrap();
-        }
+        engine.run_until_quiescent().unwrap();
         let stats = engine.stats();
         (stats.answers, stats.qpl_total, stats.traffic_total, stats.shard_runtime.drains)
     };
-    let sequential = run(false);
-    let parallel = run(true);
-    assert_eq!(sequential.0, parallel.0, "answers must match under the fallback");
-    assert_eq!(sequential.1, parallel.1, "QPL must match under the fallback");
-    assert_eq!(sequential.2, parallel.2, "traffic must match under the fallback");
-    assert_eq!(parallel.3, 0, "no sharded drain may run at zero delay");
+    let single = run(1);
+    let four = run(4);
+    assert_eq!(single.0, four.0, "answers must match under the fallback");
+    assert_eq!(single.1, four.1, "QPL must match under the fallback");
+    assert_eq!(single.2, four.2, "traffic must match under the fallback");
+    assert_eq!(four.3, 0, "no sharded drain may run at zero delay");
 }
 
 /// The shard-aware accounting is observable: a sharded drain reports its
@@ -263,16 +156,16 @@ fn sharded_runtime_counters_are_observable() {
     let scenario = churn_scenario();
     let catalog = scenario.workload_schema().build_catalog();
     let mut engine =
-        RJoinEngine::new(EngineConfig::default().with_shards(4), catalog, scenario.nodes);
+        RJoinEngine::simulated(EngineConfig::default().with_shards(4), catalog, scenario.nodes);
     let origins: Vec<_> = engine.node_ids().to_vec();
     for (i, q) in scenario.generate_queries().into_iter().enumerate() {
         engine.submit_query(origins[i % origins.len()], q).unwrap();
     }
-    engine.run_until_quiescent_parallel().unwrap();
+    engine.run_until_quiescent().unwrap();
     for (i, t) in scenario.generate_tuples(engine.now() + 1).into_iter().enumerate() {
         engine.publish_tuple(origins[i % origins.len()], t).unwrap();
     }
-    engine.run_until_quiescent_parallel().unwrap();
+    engine.run_until_quiescent().unwrap();
 
     let stats = engine.stats();
     let runtime = &stats.shard_runtime;
@@ -292,9 +185,9 @@ fn sharded_runtime_counters_are_observable() {
         "every scheduled message is eventually delivered or counted as seeded"
     );
 
-    // The sequential driver leaves all sharded counters untouched.
+    // The single-queue drain leaves all sharded counters untouched.
     let catalog = scenario.workload_schema().build_catalog();
-    let mut sequential = RJoinEngine::new(EngineConfig::default(), catalog, scenario.nodes);
+    let mut sequential = RJoinEngine::simulated(EngineConfig::default(), catalog, scenario.nodes);
     let origins: Vec<_> = sequential.node_ids().to_vec();
     for (i, q) in scenario.generate_queries().into_iter().enumerate() {
         sequential.submit_query(origins[i % origins.len()], q).unwrap();

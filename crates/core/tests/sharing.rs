@@ -4,75 +4,13 @@
 //! measurably reducing `Eval` traffic, query-processing load and the number
 //! of stored queries.
 
+mod common;
+
+use common::{assert_sound, sorted, windowed_oracle_answers};
 use rjoin_core::{traffic_class, EngineConfig, QueryId, RJoinEngine};
-use rjoin_query::{Conjunct, JoinQuery, SelectItem};
-use rjoin_relation::{Catalog, Tuple, Value};
+use rjoin_query::JoinQuery;
+use rjoin_relation::Tuple;
 use rjoin_workload::Scenario;
-
-/// Brute-force centralized evaluation (Definition 1, window-aware): every
-/// combination of one tuple per `FROM` relation satisfying all conjuncts —
-/// with all publication times inside one window — contributes one row.
-fn oracle_answers(catalog: &Catalog, query: &JoinQuery, tuples: &[Tuple]) -> Vec<Vec<Value>> {
-    let window = *query.window();
-    let relations = query.relations();
-    let per_relation: Vec<Vec<&Tuple>> =
-        relations.iter().map(|r| tuples.iter().filter(|t| t.relation() == r).collect()).collect();
-    if per_relation.iter().any(|v| v.is_empty()) {
-        return Vec::new();
-    }
-    let attr_value = |combo: &[&Tuple], relation: &str, attribute: &str| -> Option<Value> {
-        let idx = relations.iter().position(|r| r == relation)?;
-        let schema = catalog.schema(relation)?;
-        combo[idx].value(schema.index_of(attribute)?).cloned()
-    };
-    let mut results = Vec::new();
-    let mut indices = vec![0usize; relations.len()];
-    loop {
-        let combo: Vec<&Tuple> = indices.iter().zip(&per_relation).map(|(&i, v)| v[i]).collect();
-        let earliest = combo.iter().map(|t| t.pub_time()).min().expect("non-empty combo");
-        let latest = combo.iter().map(|t| t.pub_time()).max().expect("non-empty combo");
-        let ok = window.within(earliest, latest)
-            && query.conjuncts().iter().all(|c| match c {
-                Conjunct::JoinEq(a, b) => {
-                    attr_value(&combo, &a.relation, &a.attribute)
-                        == attr_value(&combo, &b.relation, &b.attribute)
-                }
-                Conjunct::ConstEq(a, v) => {
-                    attr_value(&combo, &a.relation, &a.attribute).as_ref() == Some(v)
-                }
-            });
-        if ok {
-            results.push(
-                query
-                    .select()
-                    .iter()
-                    .map(|item| match item {
-                        SelectItem::Const(v) => v.clone(),
-                        SelectItem::Attr(a) => attr_value(&combo, &a.relation, &a.attribute)
-                            .expect("valid queries reference existing attributes"),
-                    })
-                    .collect(),
-            );
-        }
-        let mut pos = 0;
-        loop {
-            indices[pos] += 1;
-            if indices[pos] < per_relation[pos].len() {
-                break;
-            }
-            indices[pos] = 0;
-            pos += 1;
-            if pos == relations.len() {
-                return results;
-            }
-        }
-    }
-}
-
-fn sorted(mut rows: Vec<Vec<Value>>) -> Vec<Vec<Value>> {
-    rows.sort();
-    rows
-}
 
 /// 40 input queries sharing 5 sub-join patterns (8 queries per pattern) over
 /// a small, dense domain so joins actually complete.
@@ -104,7 +42,7 @@ fn run(share: bool) -> (RJoinEngine, Vec<QueryId>, Vec<JoinQuery>, Vec<Tuple>) {
         config = config.with_subjoin_sharing(true);
     }
     let catalog = scenario.workload_schema().build_catalog();
-    let mut engine = RJoinEngine::new(config, catalog, scenario.nodes);
+    let mut engine = RJoinEngine::simulated(config, catalog, scenario.nodes);
     let origins: Vec<_> = engine.node_ids().to_vec();
     let mut qids = Vec::with_capacity(queries.len());
     for (i, q) in queries.iter().enumerate() {
@@ -131,7 +69,7 @@ fn shared_registry_reduces_load_with_identical_answers() {
     let catalog = overlap_workload().0.workload_schema().build_catalog();
     let mut total_answers = 0usize;
     for (qid, query) in qids_a.iter().zip(&queries) {
-        let expected = sorted(oracle_answers(&catalog, query, &tuples));
+        let expected = sorted(windowed_oracle_answers(&catalog, query, 0, &tuples));
         let base = sorted(unshared.answers().rows_for(*qid));
         let opt = sorted(shared.answers().rows_for(*qid));
         assert_eq!(base, expected, "unshared engine diverges from the oracle for {qid}");
@@ -195,7 +133,7 @@ fn shared_registry_matches_windowed_oracle() {
         if share {
             config = config.with_subjoin_sharing(true);
         }
-        let mut engine = RJoinEngine::new(config, catalog.clone(), scenario.nodes);
+        let mut engine = RJoinEngine::simulated(config, catalog.clone(), scenario.nodes);
         let origins: Vec<_> = engine.node_ids().to_vec();
         let mut qids = Vec::new();
         for (i, q) in queries.iter().enumerate() {
@@ -214,7 +152,7 @@ fn shared_registry_matches_windowed_oracle() {
 
     let mut total = 0usize;
     for (qid, query) in qids.iter().zip(&queries) {
-        let expected = sorted(oracle_answers(&catalog, query, &tuples));
+        let expected = sorted(windowed_oracle_answers(&catalog, query, 0, &tuples));
         assert_eq!(
             sorted(unshared.answers().rows_for(*qid)),
             expected,
@@ -243,7 +181,7 @@ fn shared_registry_is_sound_under_default_placement() {
             config = config.with_subjoin_sharing(true);
         }
         let catalog = scenario.workload_schema().build_catalog();
-        let mut engine = RJoinEngine::new(config, catalog, scenario.nodes);
+        let mut engine = RJoinEngine::simulated(config, catalog, scenario.nodes);
         let origins: Vec<_> = engine.node_ids().to_vec();
         let mut qids = Vec::new();
         for (i, q) in queries.iter().enumerate() {
@@ -262,14 +200,11 @@ fn shared_registry_is_sound_under_default_placement() {
     // Soundness versus the oracle: every delivered row consumes one oracle
     // row (no unsound answers, no duplicates).
     for (qid, query) in qids.iter().zip(&queries) {
-        let mut expected = sorted(oracle_answers(&catalog, query, &tuples));
-        for row in sorted(shared.answers().rows_for(*qid)) {
-            let pos = expected
-                .iter()
-                .position(|e| e == &row)
-                .unwrap_or_else(|| panic!("unsound or duplicate shared answer {row:?}"));
-            expected.remove(pos);
-        }
+        assert_sound(
+            &format!("shared {qid}"),
+            shared.answers().rows_for(*qid),
+            windowed_oracle_answers(&catalog, query, 0, &tuples),
+        );
     }
     assert!(shared.sharing_counters().any_sharing());
     // Sharing must not eat into recall: the shared run delivers at least as

@@ -9,25 +9,13 @@
 //! rates and therefore placement choices; without the ALTT the answer set
 //! of deep joins is placement-dependent, see ROADMAP).
 
+mod common;
+
+use common::{assert_exact, shard_counts, windowed_oracle_answers};
 use rjoin_core::{EngineConfig, QueryId, RJoinEngine};
-use rjoin_relation::Value;
+use rjoin_relation::{Tuple, Value};
 use rjoin_workload::Scenario;
 use std::collections::BTreeMap;
-
-/// Shard counts to exercise, from `RJOIN_SHARDS` (default `1,4`), exactly
-/// like the sharding suite.
-fn shard_counts() -> Vec<usize> {
-    std::env::var("RJOIN_SHARDS")
-        .ok()
-        .map(|v| {
-            v.split(',')
-                .filter_map(|s| s.trim().parse::<usize>().ok())
-                .filter(|&n| n >= 1)
-                .collect::<Vec<_>>()
-        })
-        .filter(|v| !v.is_empty())
-        .unwrap_or_else(|| vec![1, 4])
-}
 
 /// Heavy-hitter threshold used throughout the suite: low enough that the
 /// skew scenarios' hot keys cross it midway through the run, so the suite
@@ -46,34 +34,26 @@ fn config(split: bool, shards: usize) -> EngineConfig {
 
 /// Drives a scenario the continuous way (drain after every publication, so
 /// heat detection sees quiescent points), optionally with graceful churn
-/// one third and two thirds into the tuple stream. Returns the engine and
-/// the per-query sorted answer rows.
+/// one third and two thirds into the tuple stream. Returns the engine, the
+/// per-query sorted answer rows and the published tuples.
 fn run(
     scenario: &Scenario,
     config: EngineConfig,
     churn: bool,
-) -> (RJoinEngine, BTreeMap<QueryId, Vec<Vec<Value>>>) {
-    let shards = config.shards;
+) -> (RJoinEngine, BTreeMap<QueryId, Vec<Vec<Value>>>, Vec<Tuple>) {
     let catalog = scenario.workload_schema().build_catalog();
-    let mut engine = RJoinEngine::new(config, catalog, scenario.nodes);
+    let mut engine = RJoinEngine::simulated(config, catalog, scenario.nodes);
     let origins: Vec<_> = engine.node_ids().to_vec();
-    let drain = |engine: &mut RJoinEngine| {
-        if shards > 1 {
-            engine.run_until_quiescent_parallel().unwrap()
-        } else {
-            engine.run_until_quiescent().unwrap()
-        }
-    };
 
     let mut qids = Vec::new();
     for (i, q) in scenario.generate_queries().into_iter().enumerate() {
         qids.push(engine.submit_query(origins[i % origins.len()], q).unwrap());
     }
-    drain(&mut engine);
+    engine.run_until_quiescent().unwrap();
 
     let tuples = scenario.generate_tuples(engine.now() + 1);
     let churn_points = [tuples.len() / 3, 2 * tuples.len() / 3];
-    for (i, t) in tuples.into_iter().enumerate() {
+    for (i, t) in tuples.iter().cloned().enumerate() {
         if churn && i == churn_points[0] {
             engine.join_node("split-churn-join-a").unwrap();
             engine.join_node("split-churn-join-b").unwrap();
@@ -84,7 +64,7 @@ fn run(
         }
         let origin = engine.node_ids()[i % engine.node_ids().len()];
         engine.publish_tuple(origin, t).unwrap();
-        drain(&mut engine);
+        engine.run_until_quiescent().unwrap();
     }
 
     let answers = qids
@@ -95,7 +75,7 @@ fn run(
             (qid, rows)
         })
         .collect();
-    (engine, answers)
+    (engine, answers, tuples)
 }
 
 fn assert_answer_sets_equal(
@@ -117,15 +97,27 @@ fn assert_answer_sets_equal(
 }
 
 /// The tentpole soundness property: at θ ∈ {{0.5, 0.9}} the split engine's
-/// per-query answer sets are identical to the unsplit engine's, under every
-/// shard count of the CI matrix.
+/// per-query answer sets are identical to the unsplit engine's — and both
+/// are exactly the centralized oracle's — under every shard count of the
+/// CI matrix.
 #[test]
 fn split_answers_identical_to_unsplit_across_skews_and_drivers() {
     for shards in shard_counts() {
         for theta in [0.5, 0.9] {
             let scenario = Scenario::skew_test(theta);
-            let (unsplit_engine, unsplit) = run(&scenario, config(false, shards), false);
-            let (split_engine, split) = run(&scenario, config(true, shards), false);
+            let (unsplit_engine, unsplit, tuples) = run(&scenario, config(false, shards), false);
+            let (split_engine, split, _) = run(&scenario, config(true, shards), false);
+            let catalog = scenario.workload_schema().build_catalog();
+            let queries = scenario.generate_queries();
+            for (qid, rows) in &unsplit {
+                // Query sequence numbers count submissions engine-wide.
+                let query = &queries[qid.seq as usize];
+                assert_exact(
+                    &format!("{qid} at theta={theta}, shards={shards}"),
+                    rows.clone(),
+                    windowed_oracle_answers(&catalog, query, 0, &tuples),
+                );
+            }
             assert!(
                 split_engine.split_counters().keys_split > 0,
                 "the θ={theta} scenario must actually trip the splitter (shards={shards})"
@@ -147,8 +139,8 @@ fn split_answers_identical_to_unsplit_under_churn() {
     for shards in shard_counts() {
         for theta in [0.5, 0.9] {
             let scenario = Scenario::skew_test(theta);
-            let (_, unsplit) = run(&scenario, config(false, shards), true);
-            let (split_engine, split) = run(&scenario, config(true, shards), true);
+            let (_, unsplit, _) = run(&scenario, config(false, shards), true);
+            let (split_engine, split, _) = run(&scenario, config(true, shards), true);
             assert!(split_engine.split_counters().keys_split > 0);
             assert_answer_sets_equal(
                 &unsplit,
@@ -165,8 +157,8 @@ fn split_answers_identical_to_unsplit_under_churn() {
 fn split_runs_are_deterministic() {
     for shards in shard_counts() {
         let scenario = Scenario::skew_test(0.9);
-        let (engine_a, answers_a) = run(&scenario, config(true, shards), false);
-        let (engine_b, answers_b) = run(&scenario, config(true, shards), false);
+        let (engine_a, answers_a, _) = run(&scenario, config(true, shards), false);
+        let (engine_b, answers_b, _) = run(&scenario, config(true, shards), false);
         assert_eq!(answers_a, answers_b, "split run must be deterministic (shards={shards})");
         assert_eq!(engine_a.split_counters(), engine_b.split_counters());
         assert_eq!(engine_a.split_map().len(), engine_b.split_map().len());
@@ -200,8 +192,8 @@ fn idmove_distribution(
 #[test]
 fn split_halves_the_busiest_node_and_reports_counters() {
     let scenario = Scenario::skew_test(0.9);
-    let (unsplit_engine, _) = run(&scenario, config(false, 1), false);
-    let (split_engine, _) = run(&scenario, config(true, 1), false);
+    let (unsplit_engine, _, _) = run(&scenario, config(false, 1), false);
+    let (split_engine, _, _) = run(&scenario, config(true, 1), false);
     let unsplit = unsplit_engine.stats();
     let split = split_engine.stats();
 
@@ -254,11 +246,11 @@ fn split_halves_the_busiest_node_and_reports_counters() {
 #[test]
 fn forced_split_key_is_answer_neutral() {
     let scenario = Scenario::skew_test(0.9);
-    let (_, unsplit) = run(&scenario, config(false, 1), false);
+    let (_, unsplit, _) = run(&scenario, config(false, 1), false);
 
     let catalog = scenario.workload_schema().build_catalog();
     let mut engine =
-        RJoinEngine::new(EngineConfig::default().with_altt(2_000), catalog, scenario.nodes);
+        RJoinEngine::simulated(EngineConfig::default().with_altt(2_000), catalog, scenario.nodes);
     let origins: Vec<_> = engine.node_ids().to_vec();
     let mut qids = Vec::new();
     for (i, q) in scenario.generate_queries().into_iter().enumerate() {

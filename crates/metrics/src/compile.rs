@@ -13,11 +13,9 @@ use serde::{Deserialize, Serialize};
 ///   node's fingerprint-keyed cache instead of compiling their own,
 /// * `compiled_rewrites` — per-tuple rewrites executed by a compiled
 ///   program,
-/// * `interpreted_rewrites` — per-tuple rewrites that ran the AST
-///   interpreter (compiled predicates disabled),
+/// * `interpreted_rewrites` — always 0 (see the field),
 /// * `eval_nanos` — wall-clock nanoseconds spent walking stored-query
-///   buckets per delivery (rewrites plus trigger bookkeeping), whichever
-///   evaluation path ran.
+///   buckets per delivery (rewrites plus trigger bookkeeping).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CompileCounters {
     /// Predicate programs compiled from scratch.
@@ -26,7 +24,11 @@ pub struct CompileCounters {
     pub cache_hits: u64,
     /// Per-tuple rewrites executed by compiled programs.
     pub compiled_rewrites: u64,
-    /// Per-tuple rewrites executed by the AST interpreter.
+    /// Per-tuple rewrites executed by the AST interpreter. Always 0: the
+    /// engine runs every trigger as a compiled program and keeps the
+    /// interpreter (`rjoin_query::rewrite`) only as the reference its tests
+    /// compare against. The field stays because benchmark harnesses read
+    /// it (summed into their rewrite totals).
     pub interpreted_rewrites: u64,
     /// Nanoseconds spent in per-delivery evaluation walks.
     pub eval_nanos: u64,

@@ -9,22 +9,24 @@ use serde::{Deserialize, Serialize};
 ///
 /// The ratio to watch is `candidates_probed` vs `bucket_len_total`: the
 /// index pays off exactly when the candidates it hands back are a small
-/// slice of the bucket the linear walk would have scanned. A high
+/// slice of the bucket a full walk would have scanned. A high
 /// `residual_probed` share means most stored queries carry no
 /// tuple-resolvable equality pin (or are forced residual by DISTINCT or
-/// hypercube placement) and the index degenerates towards the linear
-/// walk it replaces.
+/// hypercube placement) and the index degenerates towards a full walk.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ProbeCounters {
     /// Tuple arrivals answered through the trigger index.
     pub indexed_probes: u64,
-    /// Tuple arrivals answered by the linear bucket walk (index disabled).
+    /// Arrivals answered by walking the whole bucket. Always 0: every
+    /// arrival probes the index (tuples) or the publication-span sidecar
+    /// (queries). The field stays because benchmark harnesses read it
+    /// (summed into their probe totals).
     pub linear_walks: u64,
     /// Stored-query candidates handed to the trigger loop by the index.
     pub candidates_probed: u64,
     /// Candidates that came from the residual (unpinned) list.
     pub residual_probed: u64,
-    /// Total bucket length the linear walk would have scanned instead.
+    /// Total bucket length a full walk would have scanned instead.
     pub bucket_len_total: u64,
     /// Peak number of handles held by the index at once.
     pub index_entries_high_water: u64,

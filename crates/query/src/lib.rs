@@ -46,12 +46,10 @@
 //!    template emission — no AST walk, no string comparison, no schema
 //!    lookup.
 //!
-//! The AST interpreter ([`rewrite`]) remains the semantics oracle: engines
-//! run it when compiled predicates are disabled (`rjoin_core`'s
-//! `with_compiled_predicates(false)`), differential tests assert program
-//! results are byte-identical to it, and shared sub-join evaluation still
-//! uses the name-based [`resolve_select_items`] for per-subscriber
-//! projections.
+//! The AST interpreter ([`rewrite`]) remains the reference semantics:
+//! differential tests assert program results are byte-identical to it, and
+//! shared sub-join evaluation still uses the name-based
+//! [`resolve_select_items`] for per-subscriber projections.
 //!
 //! # Example
 //!

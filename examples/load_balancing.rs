@@ -23,7 +23,7 @@ fn main() {
         ..Scenario::small_test()
     };
     let catalog = scenario.workload_schema().build_catalog();
-    let mut engine = RJoinEngine::new(EngineConfig::default(), catalog, scenario.nodes);
+    let mut engine = RJoinEngine::simulated(EngineConfig::default(), catalog, scenario.nodes);
     let nodes = engine.node_ids().to_vec();
 
     for (i, q) in scenario.generate_queries().into_iter().enumerate() {

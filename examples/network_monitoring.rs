@@ -35,7 +35,7 @@ fn main() {
     catalog.register(Schema::new("Logins", ["Host", "User", "Outcome"]).unwrap()).unwrap();
 
     // 128 monitoring nodes participate in the overlay.
-    let mut engine = RJoinEngine::new(EngineConfig::default(), catalog, 128);
+    let mut engine = RJoinEngine::simulated(EngineConfig::default(), catalog, 128);
     let nodes = engine.node_ids().to_vec();
 
     // Three analysts register continuous correlation queries from different

@@ -27,7 +27,7 @@ fn main() {
 
     // A 64-node Chord network running RJoin with its default configuration
     // (RIC-aware placement, RIC reuse enabled).
-    let mut engine = RJoinEngine::new(EngineConfig::default(), catalog, 64);
+    let mut engine = RJoinEngine::simulated(EngineConfig::default(), catalog, 64);
     let querying_node = engine.node_ids()[0];
     let publisher = engine.node_ids()[1];
 

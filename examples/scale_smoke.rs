@@ -29,7 +29,7 @@ fn main() {
     };
     let config = EngineConfig::default().with_subjoin_sharing(true).with_altt(256);
     let catalog = scenario.workload_schema().build_catalog();
-    let mut engine = RJoinEngine::new(config, catalog, scenario.nodes);
+    let mut engine = RJoinEngine::simulated(config, catalog, scenario.nodes);
     let origins: Vec<_> = engine.node_ids().to_vec();
 
     let queries = scenario.generate_overlapping_queries(scenario.queries / OVERLAP);
@@ -64,7 +64,6 @@ fn main() {
     println!("contact_expirations,{}", state.contact_expirations);
     let probe = stats.probe;
     println!("indexed_probes,{}", probe.indexed_probes);
-    println!("linear_walks,{}", probe.linear_walks);
     println!("candidates_probed,{}", probe.candidates_probed);
     println!("residual_probed,{}", probe.residual_probed);
     println!("bucket_len_total,{}", probe.bucket_len_total);

@@ -36,7 +36,7 @@ fn catalog() -> Catalog {
 }
 
 fn run(window: Option<u64>, readings: usize) -> (u64, u64, u64, usize) {
-    let mut engine = RJoinEngine::new(EngineConfig::default(), catalog(), 64);
+    let mut engine = RJoinEngine::simulated(EngineConfig::default(), catalog(), 64);
     let nodes = engine.node_ids().to_vec();
 
     let window_clause = match window {

@@ -3,6 +3,10 @@
 //! scenario seed. Two runs from the same seed must agree byte-for-byte on
 //! the generated workload and exactly on the engine's observable results.
 
+#[path = "../crates/core/tests/common/mod.rs"]
+mod common;
+
+use common::{assert_exact, assert_sound, windowed_oracle_answers};
 use rjoin::prelude::*;
 
 fn test_scenario() -> Scenario {
@@ -51,27 +55,28 @@ fn tuple_generator_is_byte_identical_across_runs() {
     assert_eq!(serde_json::to_string(&batch_a).unwrap(), serde_json::to_string(&batch_b).unwrap());
 }
 
-fn run_engine_with(scenario: &Scenario, parallel: bool) -> (u64, u64, u64, Vec<Vec<Value>>) {
+/// Submits the scenario's queries, drains, publishes its tuples and drains
+/// again. Returns the engine, the query ids (all submitted at tick 0) and
+/// the published tuples.
+fn run(scenario: &Scenario, config: EngineConfig) -> (RJoinEngine, Vec<QueryId>, Vec<Tuple>) {
     let catalog = scenario.workload_schema().build_catalog();
-    let mut engine = RJoinEngine::new(EngineConfig::default(), catalog, scenario.nodes);
+    let mut engine = RJoinEngine::simulated(config, catalog, scenario.nodes);
     let nodes = engine.node_ids().to_vec();
-    let drain = |engine: &mut RJoinEngine| {
-        if parallel {
-            engine.run_until_quiescent_parallel().unwrap();
-        } else {
-            engine.run_until_quiescent().unwrap();
-        }
-    };
     let mut qids = Vec::new();
     for (i, q) in scenario.generate_queries().into_iter().enumerate() {
         qids.push(engine.submit_query(nodes[i % nodes.len()], q).unwrap());
     }
-    drain(&mut engine);
-    for (i, t) in scenario.generate_tuples(engine.now() + 1).into_iter().enumerate() {
-        engine.publish_tuple(nodes[i % nodes.len()], t).unwrap();
+    engine.run_until_quiescent().unwrap();
+    let tuples = scenario.generate_tuples(engine.now() + 1);
+    for (i, t) in tuples.iter().enumerate() {
+        engine.publish_tuple(nodes[i % nodes.len()], t.clone()).unwrap();
     }
-    drain(&mut engine);
+    engine.run_until_quiescent().unwrap();
+    (engine, qids, tuples)
+}
 
+fn run_engine(scenario: &Scenario) -> (u64, u64, u64, Vec<Vec<Value>>) {
+    let (engine, qids, _) = run(scenario, EngineConfig::default());
     let stats = engine.stats();
     let mut all_rows: Vec<Vec<Value>> =
         qids.iter().flat_map(|qid| engine.answers().rows_for(*qid)).collect();
@@ -79,8 +84,21 @@ fn run_engine_with(scenario: &Scenario, parallel: bool) -> (u64, u64, u64, Vec<V
     (stats.answers, stats.qpl_total, stats.traffic_total, all_rows)
 }
 
-fn run_engine(scenario: &Scenario) -> (u64, u64, u64, Vec<Vec<Value>>) {
-    run_engine_with(scenario, false)
+/// Checks every query of a finished run against the centralized oracle:
+/// the exact bag when `exact`, a sound sub-bag otherwise.
+fn check_oracle(scenario: &Scenario, run: &(RJoinEngine, Vec<QueryId>, Vec<Tuple>), exact: bool) {
+    let (engine, qids, tuples) = run;
+    let catalog = scenario.workload_schema().build_catalog();
+    for (qid, query) in qids.iter().zip(scenario.generate_queries()) {
+        let expected = windowed_oracle_answers(&catalog, &query, 0, tuples);
+        let delivered = engine.answers().rows_for(*qid);
+        let tag = format!("{qid} at {} shards", engine.config().shards);
+        if exact {
+            assert_exact(&tag, delivered, expected);
+        } else {
+            assert_sound(&tag, delivered, expected);
+        }
+    }
 }
 
 /// Two engine runs over the same scenario agree on answer counts, load and
@@ -98,59 +116,14 @@ fn same_seed_produces_identical_engine_results() {
     assert_eq!(rows_a, rows_b, "delivered rows must match across runs");
 }
 
-/// The tick-parallel engine driver is byte-identical to the sequential one:
-/// every observable — answer count, loads, traffic, and the serialized JSON
-/// of the full delivered-row multiset — matches exactly. Node-local handler
-/// work is fanned out across threads, but all global effects are applied in
-/// deterministic `(at, seq)` order, so parallelism must be invisible.
-#[test]
-fn parallel_mode_is_byte_identical_to_sequential_mode() {
-    let scenario = test_scenario();
-    let sequential = run_engine_with(&scenario, false);
-    let parallel = run_engine_with(&scenario, true);
+/// Every observable the shard-count suite compares: answer count, loads,
+/// traffic, the sorted per-node load/traffic vectors and the sorted
+/// delivered-row multiset.
+type Observables = (u64, u64, u64, Vec<u64>, Vec<u64>, String);
 
-    assert!(sequential.0 > 0, "the determinism scenario should produce answers");
-    assert_eq!(sequential.0, parallel.0, "answer counts must match across modes");
-    assert_eq!(sequential.1, parallel.1, "query processing load must match across modes");
-    assert_eq!(sequential.2, parallel.2, "traffic totals must match across modes");
-    assert_eq!(
-        serde_json::to_string(&sequential.3).unwrap(),
-        serde_json::to_string(&parallel.3).unwrap(),
-        "delivered rows must be byte-identical across modes"
-    );
-}
-
-/// One engine run with a caller-chosen driver: `shards == 0` uses the
-/// sequential driver, any other count drains through
-/// `run_until_quiescent_parallel` with that shard count. Returns every
-/// observable the suite compares: answer count, loads, traffic, the sorted
-/// per-node load/traffic vectors and the sorted delivered-row multiset.
-fn run_observables(
-    scenario: &Scenario,
-    config: EngineConfig,
-    shards: usize,
-) -> (u64, u64, u64, Vec<u64>, Vec<u64>, String) {
-    let catalog = scenario.workload_schema().build_catalog();
-    let config = if shards == 0 { config } else { config.with_shards(shards) };
-    let mut engine = RJoinEngine::new(config, catalog, scenario.nodes);
-    let nodes = engine.node_ids().to_vec();
-    let drain = |engine: &mut RJoinEngine| {
-        if shards == 0 {
-            engine.run_until_quiescent().unwrap();
-        } else {
-            engine.run_until_quiescent_parallel().unwrap();
-        }
-    };
-    let mut qids = Vec::new();
-    for (i, q) in scenario.generate_queries().into_iter().enumerate() {
-        qids.push(engine.submit_query(nodes[i % nodes.len()], q).unwrap());
-    }
-    drain(&mut engine);
-    for (i, t) in scenario.generate_tuples(engine.now() + 1).into_iter().enumerate() {
-        engine.publish_tuple(nodes[i % nodes.len()], t).unwrap();
-    }
-    drain(&mut engine);
-
+fn observables(run: &(RJoinEngine, Vec<QueryId>, Vec<Tuple>)) -> Observables {
+    let (engine, qids, _) = run;
+    let nodes = engine.node_ids();
     let stats = engine.stats();
     let mut qpl_per_node: Vec<u64> = nodes.iter().map(|id| engine.qpl_per_node().get(id)).collect();
     qpl_per_node.sort_unstable();
@@ -170,10 +143,15 @@ fn run_observables(
     )
 }
 
+fn run_observables(scenario: &Scenario, config: EngineConfig, shards: usize) -> Observables {
+    observables(&run(scenario, config.with_shards(shards)))
+}
+
 /// The sharded event-queue runtime is **byte-identical across shard counts
 /// {1, 2, 4, 8}** — answers, QPL (total and per node), traffic (total and
 /// per node) and the delivered-row multiset all match exactly, with shard
-/// count 1 being the plain sequential driver.
+/// count 1 being the single-queue drain — and the answers are exactly the
+/// centralized oracle's.
 ///
 /// The config pins down the two legitimate sources of divergence so the
 /// identity is exact: `FirstInClause` placement consumes no randomness
@@ -188,26 +166,30 @@ fn run_observables(
 fn sharded_driver_is_byte_identical_across_shard_counts() {
     let scenario = test_scenario();
     let config = || EngineConfig::with_placement(PlacementStrategy::FirstInClause).with_altt(100);
-    let reference = run_observables(&scenario, config(), 0);
+    let single_queue = run(&scenario, config());
+    check_oracle(&scenario, &single_queue, true);
+    let reference = observables(&single_queue);
     assert!(reference.0 > 0, "the determinism scenario should produce answers");
-    for shards in [1usize, 2, 4, 8] {
+    for shards in [2usize, 4, 8] {
         let sharded = run_observables(&scenario, config(), shards);
         assert_eq!(
             reference, sharded,
-            "shard count {shards} must be byte-identical to the sequential driver"
+            "shard count {shards} must be byte-identical to the single-queue drain"
         );
     }
 }
 
 /// Under the default configuration (RIC-aware placement), sharded runs are
-/// deterministic and **identical for every shard count > 1**, and their
-/// answer multiset matches the sequential driver's (the RNG-stream and
-/// RIC-pruning differences shift placement choices, i.e. traffic, but never
-/// answers).
+/// deterministic and **identical for every shard count > 1**, and both the
+/// sharded and the single-queue answers are sound against the oracle and
+/// equal to each other (the RNG-stream and RIC-pruning differences shift
+/// placement choices, i.e. traffic, but never answers).
 #[test]
 fn sharded_default_config_agrees_across_shard_counts() {
     let scenario = test_scenario();
-    let reference = run_observables(&scenario, EngineConfig::default(), 2);
+    let two_shards = run(&scenario, EngineConfig::default().with_shards(2));
+    check_oracle(&scenario, &two_shards, false);
+    let reference = observables(&two_shards);
     assert!(reference.0 > 0, "the determinism scenario should produce answers");
     for shards in [2usize, 4, 8] {
         let run_a = run_observables(&scenario, EngineConfig::default(), shards);
@@ -215,21 +197,24 @@ fn sharded_default_config_agrees_across_shard_counts() {
         assert_eq!(run_a, run_b, "repeated sharded runs at {shards} shards must be identical");
         assert_eq!(run_a, reference, "shard counts 2 and {shards} must agree exactly");
     }
-    let sequential = run_observables(&scenario, EngineConfig::default(), 0);
+    let single_queue = run(&scenario, EngineConfig::default());
+    check_oracle(&scenario, &single_queue, false);
     assert_eq!(
-        sequential.5, reference.5,
-        "sharded and sequential drivers must deliver the same answer multiset"
+        observables(&single_queue).5,
+        reference.5,
+        "sharded and single-queue drains must deliver the same answer multiset"
     );
 }
 
-/// `with_shards(1)` routes through the single-queue driver and stays
-/// byte-identical to the plain sequential drain under the default config.
+/// `with_shards(1)` drains on the single queue — no sharded drain runs —
+/// and its answers under the default config are sound against the oracle.
 #[test]
 fn with_shards_one_is_the_sequential_driver() {
     let scenario = test_scenario();
-    let sequential = run_observables(&scenario, EngineConfig::default(), 0);
-    let one_shard = run_observables(&scenario, EngineConfig::default(), 1);
-    assert_eq!(sequential, one_shard);
+    let one_shard = run(&scenario, EngineConfig::default().with_shards(1));
+    assert_eq!(one_shard.0.shard_runtime_stats().drains, 0);
+    assert!(!one_shard.0.answers().is_empty(), "the determinism scenario should produce answers");
+    check_oracle(&scenario, &one_shard, false);
 }
 
 /// The worker count is purely an execution choice: a 4-shard drain produces

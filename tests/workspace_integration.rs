@@ -6,7 +6,7 @@ use rjoin::prelude::*;
 
 fn small_engine(nodes: usize) -> (RJoinEngine, Vec<Id>) {
     let schema = WorkloadSchema::paper_default();
-    let engine = RJoinEngine::new(EngineConfig::default(), schema.build_catalog(), nodes);
+    let engine = RJoinEngine::simulated(EngineConfig::default(), schema.build_catalog(), nodes);
     let ids = engine.node_ids().to_vec();
     (engine, ids)
 }
@@ -17,7 +17,7 @@ fn figure_one_walkthrough_delivers_the_paper_answer() {
     for rel in ["R", "S", "J", "M"] {
         catalog.register(Schema::new(rel, ["A", "B", "C"]).unwrap()).unwrap();
     }
-    let mut engine = RJoinEngine::new(EngineConfig::default(), catalog, 48);
+    let mut engine = RJoinEngine::simulated(EngineConfig::default(), catalog, 48);
     let node = engine.node_ids()[0];
 
     let q =
@@ -39,7 +39,7 @@ fn figure_one_walkthrough_delivers_the_paper_answer() {
 fn zipf_workload_produces_answers_and_spreads_load() {
     let scenario = Scenario { nodes: 48, queries: 300, tuples: 120, ..Scenario::small_test() };
     let catalog = scenario.workload_schema().build_catalog();
-    let mut engine = RJoinEngine::new(EngineConfig::default(), catalog, scenario.nodes);
+    let mut engine = RJoinEngine::simulated(EngineConfig::default(), catalog, scenario.nodes);
     let nodes = engine.node_ids().to_vec();
 
     for (i, q) in scenario.generate_queries().into_iter().enumerate() {
@@ -72,7 +72,7 @@ fn placement_strategies_rank_as_in_figure_two() {
     let catalog = scenario.workload_schema().build_catalog();
 
     let run = |placement| {
-        let mut engine = RJoinEngine::new(
+        let mut engine = RJoinEngine::simulated(
             EngineConfig::with_placement(placement),
             catalog.clone(),
             scenario.nodes,
@@ -111,7 +111,7 @@ fn sliding_windows_bound_live_state() {
     let run = |window| {
         let scenario = Scenario { window, ..base.clone() };
         let catalog = scenario.workload_schema().build_catalog();
-        let mut engine = RJoinEngine::new(EngineConfig::default(), catalog, scenario.nodes);
+        let mut engine = RJoinEngine::simulated(EngineConfig::default(), catalog, scenario.nodes);
         let nodes = engine.node_ids().to_vec();
         for (i, q) in scenario.generate_queries().into_iter().enumerate() {
             engine.submit_query(nodes[i % nodes.len()], q).unwrap();
@@ -174,7 +174,7 @@ fn distinct_queries_have_no_duplicate_rows_end_to_end() {
         ..Scenario::small_test()
     };
     let catalog = scenario.workload_schema().build_catalog();
-    let mut engine = RJoinEngine::new(EngineConfig::default(), catalog, scenario.nodes);
+    let mut engine = RJoinEngine::simulated(EngineConfig::default(), catalog, scenario.nodes);
     let nodes = engine.node_ids().to_vec();
     let mut qids = Vec::new();
     for (i, q) in scenario.generate_queries().into_iter().enumerate() {
