@@ -74,9 +74,8 @@ fn bench_window_sizes(c: &mut Criterion) {
 /// The sharded event-queue runtime on the cascade-heavy standard workload
 /// (3-join chain queries whose rewrites hop Eval/Index chains across the
 /// ring) at 2/4/8 shards; `placement_strategy/ric_aware` is the same
-/// workload on the single queue. On a multicore host the shards run on
-/// persistent worker threads; on a single core the same shard structures
-/// are driven cooperatively.
+/// workload on the single queue. Every shard runs on its own OS thread,
+/// whatever the host's core count.
 fn bench_sharding_runtime(c: &mut Criterion) {
     let scenario = bench_scenario();
     let mut group = c.benchmark_group("sharding_runtime");

@@ -85,23 +85,20 @@ pub struct EngineConfig {
     /// With `1` (the default) the drain runs the single global event queue
     /// on the calling thread. With `n > 1` (and δ ≥ 1) the ring's nodes are
     /// split into `n` contiguous identifier ranges, each owning its own
-    /// bucket queue, local virtual clock and worker thread, synchronized
-    /// only through the conservative watermark protocol of
-    /// [`rjoin_net::ShardedNetwork`]. Sharded runs are deterministic and
-    /// produce identical answers/loads/traffic for every `n > 1`; they can
-    /// differ from the `n = 1` trace only through placement-RNG draws
-    /// (derived per decision instead of from one global stream) and the
-    /// pruning-free RIC reads.
+    /// bucket queue, local virtual clock and OS thread (one thread per
+    /// shard, spawned for each drain), synchronized only through the
+    /// conservative watermark protocol of [`rjoin_net::ShardedNetwork`].
+    /// Sharded runs are deterministic and produce identical
+    /// answers/loads/traffic for every `n > 1`; they can differ from the
+    /// `n = 1` trace only through placement-RNG draws (derived per decision
+    /// instead of from one global stream) and the pruning-free RIC reads.
+    ///
+    /// Shards only pay off with cores to run them: on a single core prefer
+    /// `shards = 1`. Pinned to one CPU, the paper-4way benchmark workload
+    /// ran 33.3 tuples/s on the single queue against 26.8 with two shard
+    /// threads; on 2 vCPUs, 4 and 8 shards were within run-to-run noise of
+    /// each other.
     pub shards: usize,
-    /// Number of worker threads the sharded drain may use, decoupled from
-    /// the shard count. `None` (the default) resolves at drain time: the
-    /// `RJOIN_WORKERS` environment variable if set, otherwise the machine's
-    /// available parallelism. `1` forces the cooperative single-threaded
-    /// scheduler; values between `2` and `shards - 1` drive the shards with
-    /// a phase-parallel worker pool; values `>= shards` give every shard
-    /// its own persistent worker. The choice never changes results — only
-    /// how the same deterministic schedule is executed.
-    pub workers: Option<usize>,
     /// Heavy-hitter threshold for hot-key splitting: when a tuple
     /// publication observes that one of its index keys received at least
     /// this many tuples during the last [`ric_window`](Self::ric_window)
@@ -131,17 +128,12 @@ pub struct EngineConfig {
     /// pays for that completeness in memory: it keeps every entry no later
     /// arrival contacts.
     pub wheel_expiry: bool,
-    /// When `true` (the default), submitted queries go through the two-plan
-    /// cost model (`rjoin_query::plan`): cyclic join graphs are placed as a
-    /// replicated hypercube of cells, acyclic ones stay on the paper's
-    /// rewrite pipeline unless the hypercube is strictly cheaper. When
-    /// `false`, cyclic queries are rejected with
-    /// `QueryError::CyclicShape` — the rewrite pipeline cannot express
-    /// them, and silently dropping the cycle-closing conjunct would change
-    /// answers.
-    pub hypercube_planner: bool,
-    /// Cell budget of a hypercube plan: the planner allocates per-axis
-    /// shares `s_1 × … × s_k` with `∏ s_i` at most this value.
+    /// Cell budget of a hypercube plan. Every submitted query goes through
+    /// the two-plan cost model (`rjoin_query::plan`): cyclic join graphs are
+    /// placed as a replicated hypercube of cells, acyclic ones stay on the
+    /// rewrite pipeline unless the hypercube is strictly cheaper. The
+    /// planner allocates per-axis shares `s_1 × … × s_k` with `∏ s_i` at
+    /// most this value.
     pub hypercube_cells: u32,
 }
 
@@ -159,11 +151,9 @@ impl Default for EngineConfig {
             successor_list_len: 4,
             seed: 0x8101_2008,
             shards: 1,
-            workers: None,
             hot_key_threshold: None,
             hot_key_partitions: 8,
             wheel_expiry: true,
-            hypercube_planner: true,
             hypercube_cells: 8,
         }
     }
@@ -202,7 +192,9 @@ impl EngineConfig {
     }
 
     /// Sets the number of event-queue shards the drain uses (clamped to at
-    /// least 1). `with_shards(1)` keeps the single global queue.
+    /// least 1). `with_shards(1)` keeps the single global queue; `n > 1`
+    /// runs one OS thread per shard, so prefer `1` on a single-core host
+    /// (see [`shards`](Self::shards)).
     ///
     /// The sharded runtime's conservative synchronization uses the delay
     /// bound δ as its lookahead, so it requires `network_delay >= 1`; with
@@ -210,15 +202,6 @@ impl EngineConfig {
     /// regardless of the shard count.
     pub fn with_shards(mut self, shards: usize) -> Self {
         self.shards = shards.max(1);
-        self
-    }
-
-    /// Pins the number of worker threads the sharded drain uses (clamped to
-    /// at least 1), independent of the shard count. Without this the drain
-    /// honours the `RJOIN_WORKERS` environment variable, falling back to
-    /// the machine's available parallelism.
-    pub fn with_workers(mut self, workers: usize) -> Self {
-        self.workers = Some(workers.max(1));
         self
     }
 
@@ -288,15 +271,6 @@ impl EngineConfig {
         self.wheel_expiry = wheel;
         self
     }
-
-    /// Selects whether the hypercube planner is available: `true` (the
-    /// default) lets the cost model place cyclic queries as replicated
-    /// hypercube cells, `false` rejects cyclic shapes at submission with
-    /// `QueryError::CyclicShape` (the paper's pipeline-only system).
-    pub fn with_hypercube_planner(mut self, enabled: bool) -> Self {
-        self.hypercube_planner = enabled;
-        self
-    }
 }
 
 #[cfg(test)]
@@ -314,15 +288,10 @@ mod tests {
         assert_eq!(c.shards, 1, "the default driver is the single-queue one");
         assert_eq!(EngineConfig::default().with_shards(8).shards, 8);
         assert_eq!(EngineConfig::default().with_shards(0).shards, 1, "shards clamp to >= 1");
-        assert_eq!(c.workers, None, "worker count resolves at drain time by default");
-        assert_eq!(EngineConfig::default().with_workers(3).workers, Some(3));
-        assert_eq!(EngineConfig::default().with_workers(0).workers, Some(1));
         assert!(c.hot_key_threshold.is_none(), "splitting is opt-in: the default is the paper");
         assert!(c.wheel_expiry, "timer-wheel expiry is the default");
         assert!(!EngineConfig::default().with_wheel_expiry(false).wheel_expiry);
-        assert!(c.hypercube_planner, "cyclic shapes are a supported workload by default");
         assert_eq!(c.hypercube_cells, 8);
-        assert!(!EngineConfig::default().with_hypercube_planner(false).hypercube_planner);
         assert_eq!(EngineConfig::default().with_hypercube_cells(16).hypercube_cells, 16);
         assert_eq!(
             EngineConfig::default().with_hypercube_cells(0).hypercube_cells,

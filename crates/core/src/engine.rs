@@ -24,8 +24,8 @@ use rjoin_metrics::{
     SharingCounters, SplitCounters, StateCounters,
 };
 use rjoin_net::{Delivery, KeyRouter, Network, NetworkConfig, SimTime, TrafficStats, Transport};
-use rjoin_query::plan::{self, QueryShape};
-use rjoin_query::{candidate_keys, tuple_index_keys, IndexKey, IndexLevel, JoinQuery, QueryError};
+use rjoin_query::plan;
+use rjoin_query::{candidate_keys, tuple_index_keys, IndexKey, IndexLevel, JoinQuery};
 use rjoin_relation::{Catalog, Name, Tuple};
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::{Arc, Mutex};
@@ -348,12 +348,8 @@ impl RJoinEngine {
     /// Submits a continuous query from node `origin`. The query is validated
     /// against the catalog, planned (pipeline of rewrites vs hypercube
     /// placement, `rjoin_query::plan`) and indexed in the network; returns
-    /// its id.
-    ///
-    /// A query with a cyclic join graph is rejected with
-    /// [`QueryError::CyclicShape`] when the hypercube planner is disabled
-    /// ([`EngineConfig::with_hypercube_planner`]) — the rewrite pipeline
-    /// cannot express cyclic shapes.
+    /// its id. A query with a cyclic join graph always takes the hypercube
+    /// plan: the rewrite pipeline cannot express cyclic shapes.
     pub fn submit_query(
         &mut self,
         origin: impl Into<NodeId>,
@@ -392,13 +388,6 @@ impl RJoinEngine {
             return Ok(None);
         }
         let shape = graph.shape();
-        if !self.config.hypercube_planner {
-            if shape == QueryShape::Cyclic {
-                return Err(EngineError::Query(QueryError::CyclicShape));
-            }
-            self.planner_counters.pipeline_plans += 1;
-            return Ok(None);
-        }
         let hc_plan = graph.hypercube_plan(self.config.hypercube_cells.max(2));
         let take_hypercube = match plan::pipeline_cost(query, shape) {
             None => true,

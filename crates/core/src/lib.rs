@@ -85,10 +85,10 @@
 //! observable (answers, loads, traffic) identical across shard counts
 //! `> 1` and across repeated runs (`tests/determinism.rs` additionally
 //! pins an exact-identity configuration where sharded equals sequential
-//! byte for byte). On a single-core host the same shard structures are
-//! driven cooperatively by the calling thread, so results never depend on
-//! the machine. Shard-aware accounting (intra/cross-shard deliveries,
-//! tick activations, blocked remote reads) is reported through
+//! byte for byte). Every shard runs on its own OS thread on every host, so
+//! results never depend on the machine or on how many cores it has (prefer
+//! one shard on a single core). Shard-aware accounting (intra/cross-shard
+//! deliveries, tick activations, blocked remote reads) is reported through
 //! [`ExperimentStats`] and [`RJoinEngine::shard_runtime_stats`].
 //!
 //! # Hot-key splitting (share-based partitioning)
@@ -130,9 +130,7 @@
 //! the partials in the cell (no `Eval` traffic); `DISTINCT` collapses at
 //! the owner. A cost model picks between the two plans for acyclic shapes
 //! (pipeline ≈ one hop per join; hypercube ≈ one registration per cell);
-//! cyclic shapes always take the hypercube, or are rejected with
-//! [`rjoin_query::QueryError::CyclicShape`] when the planner is disabled
-//! ([`EngineConfig::with_hypercube_planner`]`(false)`). Planner decisions
+//! cyclic shapes always take the hypercube. Planner decisions
 //! and replication costs are reported in [`ExperimentStats::planner`].
 //!
 //! # Shared sub-join evaluation (multi-query optimization)

@@ -51,28 +51,16 @@
 //!   reads cannot deadlock (see the protocol notes on
 //!   [`rjoin_net::ShardedNetwork`]).
 //!
-//! # Execution modes
+//! # Execution
 //!
-//! The **worker count** is decoupled from the shard count: it comes from
-//! [`EngineConfig::workers`], falling back to the `RJOIN_WORKERS`
-//! environment variable and then to the machine's available parallelism.
-//!
-//! * `workers >= shards` — every shard gets its own persistent worker
-//!   thread under [`std::thread::scope`], coordinated purely through the
-//!   watermark protocol (the fully concurrent mode).
-//! * `1 < workers < shards` — a **pooled** scheduler drives the shards
-//!   global-minimum tick by tick, fanning each tick's handler phases and
-//!   then its effect phases across the worker pool; `mark_all_handled`
-//!   between the phases keeps remote RIC reads non-blocking.
-//! * `workers == 1` — the same tick loop runs **cooperatively** on the
-//!   calling thread, preserving the sharded semantics bit for bit while
-//!   paying no context-switch or condvar cost (the right mode for
-//!   single-core hosts).
-//!
-//! All three modes produce identical results by construction (the
-//! per-shard effect phases of one tick touch disjoint state and only
-//! perform pure watermark-gated reads), so a workload's outputs depend
-//! neither on the machine nor on the worker count.
+//! Every shard gets its own persistent worker thread under
+//! [`std::thread::scope`], coordinated purely through the watermark
+//! protocol — one scheduler on every host and for every shard count. The
+//! workers are not pinned: with more shards than cores the OS time-slices
+//! them, and the watermark protocol still makes progress (the shard holding
+//! the globally minimal watermark can always run its next tick). A
+//! workload's outputs therefore depend neither on the machine nor on how
+//! the threads interleave.
 
 use crate::answers::AnswerRecord;
 use crate::config::{EngineConfig, PlacementStrategy};
@@ -96,8 +84,7 @@ use rjoin_net::{
 use rjoin_query::IndexKey;
 use rjoin_relation::Catalog;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Barrier, Mutex};
+use std::sync::{Arc, Mutex};
 
 /// Shared directory of every node's RIC tracker, the one piece of node
 /// state readable across shard workers (each tracker behind its own lock).
@@ -294,9 +281,8 @@ fn apply_effects(
     true
 }
 
-/// One shard's threaded worker loop: poll → handler phase → publish
-/// handled → effect phase → finish tick, until global quiescence (or
-/// abort).
+/// One shard's worker loop: poll → handler phase → publish handled →
+/// effect phase → finish tick, until global quiescence (or abort).
 fn run_worker(
     snet: &ShardedNetwork<'_, RJoinMessage>,
     local: ShardLocal<RJoinMessage>,
@@ -341,265 +327,6 @@ fn run_worker(
     WorkerOutcome { local: handle.into_local(), nodes, tally }
 }
 
-/// Cooperative single-threaded scheduler: drives every shard from the
-/// calling thread, one global-minimum tick at a time — all shards' handler
-/// phases first, then all effect phases. Semantically identical to the
-/// threaded mode (per-tick effect phases touch disjoint state), but pays
-/// no thread or wakeup cost, which matters on single-core hosts.
-fn run_cooperative(
-    snet: &ShardedNetwork<'_, RJoinMessage>,
-    locals: Vec<ShardLocal<RJoinMessage>>,
-    parts: Vec<NodeMap>,
-    catalog: &Catalog,
-    config: &EngineConfig,
-    ric_dir: &RicDirectory,
-    splits: &SplitMap,
-) -> Vec<WorkerOutcome> {
-    struct CoopShard<'n, 'a> {
-        handle: ShardHandle<'n, 'a, RJoinMessage>,
-        nodes: NodeMap,
-        tally: ShardTally,
-    }
-    snet.set_cooperative(true);
-    let mut shards: Vec<CoopShard<'_, '_>> = locals
-        .into_iter()
-        .zip(parts)
-        .map(|(local, nodes)| CoopShard {
-            handle: ShardHandle::new(snet, local),
-            nodes,
-            tally: ShardTally::default(),
-        })
-        .collect();
-
-    // Handler-phase output of one cooperative round: the shard index, its
-    // floor-clamped clock, the delivery count and the staged effects.
-    type Staged = (usize, SimTime, usize, Vec<(Lineage, TickEffect)>);
-    // Runs until all queues are empty: quiescent.
-    'drain: while let Some(tick) =
-        shards.iter_mut().filter_map(|s| s.handle.next_event_time()).min()
-    {
-        // Handler phase on every shard holding deliveries at `tick`.
-        let mut staged: Vec<Staged> = Vec::new();
-        for (i, shard) in shards.iter_mut().enumerate() {
-            if let Some((now, deliveries)) = shard.handle.try_take_tick(tick) {
-                let count = deliveries.len();
-                shard.tally.processed += count as u64;
-                let effects = run_handlers(&mut shard.nodes, catalog, config, now, deliveries);
-                staged.push((i, now, count, effects));
-            }
-        }
-        // All handlers of `tick` ran; remote rate reads must never block.
-        snet.mark_all_handled(tick);
-        // Effect phase, shard by shard (the order is immaterial: effects
-        // touch disjoint shard state and only perform pure remote reads).
-        for (i, now, count, effects) in staged {
-            let shard = &mut shards[i];
-            let ok = apply_effects(
-                &mut shard.handle,
-                &mut shard.nodes,
-                &mut shard.tally,
-                catalog,
-                config,
-                ric_dir,
-                splits,
-                tick,
-                effects,
-            );
-            shard.handle.finish_tick(count, now);
-            if !ok {
-                snet.abort();
-                break 'drain;
-            }
-        }
-    }
-
-    shards
-        .into_iter()
-        .map(|s| WorkerOutcome { local: s.handle.into_local(), nodes: s.nodes, tally: s.tally })
-        .collect()
-}
-
-/// Pooled scheduler for `1 < workers < shards`: the cooperative
-/// global-minimum tick loop, executed by a pool of **persistent** worker
-/// threads (spawned once per drain, not per tick — per-tick spawn/join
-/// would dominate thin-tick workloads). Each worker owns a static chunk of
-/// shards; the rounds are coordinated by a reusable [`Barrier`]:
-///
-/// 1. every worker publishes its chunk's earliest event time, the barrier
-///    leader reduces them to the global minimum tick (or termination),
-/// 2. handler phase on every chunk, then `mark_all_handled(tick)` behind a
-///    barrier — so the concurrent effect phases' remote RIC reads never
-///    block,
-/// 3. effect phase + `finish_tick` on every chunk, and a final barrier so
-///    the next round's inbox drain observes every send of this tick.
-///
-/// Workers only touch their own shards and the schedule is the same
-/// global-minimum order the cooperative scheduler runs, so the results are
-/// byte-identical to every other execution mode.
-#[allow(clippy::too_many_arguments)]
-fn run_pooled(
-    snet: &ShardedNetwork<'_, RJoinMessage>,
-    locals: Vec<ShardLocal<RJoinMessage>>,
-    parts: Vec<NodeMap>,
-    catalog: &Catalog,
-    config: &EngineConfig,
-    ric_dir: &RicDirectory,
-    splits: &SplitMap,
-    workers: usize,
-) -> Vec<WorkerOutcome> {
-    /// Handler-phase output staged for this round's effect phase:
-    /// `(floor-clamped clock, delivery count, effects)`.
-    type StagedTick = (SimTime, usize, Vec<(Lineage, TickEffect)>);
-    struct PoolShard<'n, 'a> {
-        handle: ShardHandle<'n, 'a, RJoinMessage>,
-        nodes: NodeMap,
-        tally: ShardTally,
-        staged: Option<StagedTick>,
-        ok: bool,
-    }
-    // Nobody parks on the progress condvar: rounds are coordinated by the
-    // barrier alone, exactly like the cooperative scheduler.
-    snet.set_cooperative(true);
-    let shards: Vec<PoolShard<'_, '_>> = locals
-        .into_iter()
-        .zip(parts)
-        .map(|(local, nodes)| PoolShard {
-            handle: ShardHandle::new(snet, local),
-            nodes,
-            tally: ShardTally::default(),
-            staged: None,
-            ok: true,
-        })
-        .collect();
-    let chunk_size = shards.len().div_ceil(workers).max(1);
-    let mut chunks: Vec<Vec<PoolShard<'_, '_>>> = Vec::new();
-    {
-        let mut shards = shards;
-        while !shards.is_empty() {
-            let rest = shards.split_off(chunk_size.min(shards.len()));
-            chunks.push(shards);
-            shards = rest;
-        }
-    }
-    let pool = chunks.len();
-    let barrier = Barrier::new(pool);
-    // Per-worker earliest event times, reduced by the barrier leader into
-    // the shared next-tick word (`u64::MAX` = quiescent, stop).
-    let chunk_mins: Vec<AtomicU64> = (0..pool).map(|_| AtomicU64::new(u64::MAX)).collect();
-    let next_tick = AtomicU64::new(u64::MAX);
-    let failed = AtomicBool::new(false);
-
-    let outcomes: Vec<Vec<WorkerOutcome>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = chunks
-            .into_iter()
-            .enumerate()
-            .map(|(i, mut chunk)| {
-                let (barrier, chunk_mins, next_tick, failed) =
-                    (&barrier, &chunk_mins, &next_tick, &failed);
-                scope.spawn(move || {
-                    loop {
-                        // Round start: publish this chunk's earliest event
-                        // time; the leader reduces to the global minimum.
-                        let local_min = chunk
-                            .iter_mut()
-                            .filter_map(|s| s.handle.next_event_time())
-                            .min()
-                            .unwrap_or(u64::MAX);
-                        chunk_mins[i].store(local_min, Ordering::SeqCst);
-                        if barrier.wait().is_leader() {
-                            let global = chunk_mins
-                                .iter()
-                                .map(|m| m.load(Ordering::SeqCst))
-                                .min()
-                                .unwrap_or(u64::MAX);
-                            let stop = failed.load(Ordering::SeqCst) || snet.is_aborted();
-                            next_tick.store(if stop { u64::MAX } else { global }, Ordering::SeqCst);
-                        }
-                        barrier.wait();
-                        let tick = next_tick.load(Ordering::SeqCst);
-                        if tick == u64::MAX {
-                            break;
-                        }
-                        // Handler phase on this chunk's shards at `tick`.
-                        for shard in chunk.iter_mut() {
-                            if let Some((now, deliveries)) = shard.handle.try_take_tick(tick) {
-                                let count = deliveries.len();
-                                shard.tally.processed += count as u64;
-                                let effects = run_handlers(
-                                    &mut shard.nodes,
-                                    catalog,
-                                    config,
-                                    now,
-                                    deliveries,
-                                );
-                                shard.staged = Some((now, count, effects));
-                            }
-                        }
-                        // All handlers of `tick` ran: remote rate reads in
-                        // the concurrent effect phases below never block.
-                        if barrier.wait().is_leader() {
-                            snet.mark_all_handled(tick);
-                        }
-                        barrier.wait();
-                        for shard in chunk.iter_mut() {
-                            if let Some((now, count, effects)) = shard.staged.take() {
-                                let ok = apply_effects(
-                                    &mut shard.handle,
-                                    &mut shard.nodes,
-                                    &mut shard.tally,
-                                    catalog,
-                                    config,
-                                    ric_dir,
-                                    splits,
-                                    tick,
-                                    effects,
-                                );
-                                shard.handle.finish_tick(count, now);
-                                if !ok {
-                                    shard.ok = false;
-                                    failed.store(true, Ordering::SeqCst);
-                                    snet.abort();
-                                }
-                            }
-                        }
-                        // Close the round: the next inbox drain must observe
-                        // every send of this tick.
-                        barrier.wait();
-                    }
-                    chunk
-                        .into_iter()
-                        .map(|s| WorkerOutcome {
-                            local: s.handle.into_local(),
-                            nodes: s.nodes,
-                            tally: s.tally,
-                        })
-                        .collect::<Vec<WorkerOutcome>>()
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().expect("pool worker must not panic")).collect()
-    });
-    outcomes.into_iter().flatten().collect()
-}
-
-/// Resolves how many worker threads a sharded drain may use: the explicit
-/// [`EngineConfig::workers`] pin, else the `RJOIN_WORKERS` environment
-/// variable, else the machine's available parallelism. Purely an execution
-/// choice — results are identical for every value.
-fn resolve_workers(config: &EngineConfig) -> usize {
-    if let Some(workers) = config.workers {
-        return workers.max(1);
-    }
-    if let Some(workers) =
-        std::env::var("RJOIN_WORKERS").ok().and_then(|v| v.trim().parse::<usize>().ok())
-    {
-        if workers >= 1 {
-            return workers;
-        }
-    }
-    std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
-}
-
 /// Drains the engine's event queue on the sharded runtime. See the module
 /// docs for the architecture; the observable results (answers, loads,
 /// traffic) are deterministic and shard-count-invariant for every
@@ -642,25 +369,18 @@ pub(crate) fn drain_sharded(engine: &mut RJoinEngine) -> Result<u64, EngineError
     let ric_dir_ref = &ric_dir;
     let splits_ref = &engine.splits;
 
-    let workers = resolve_workers(config);
-    let outcomes: Vec<WorkerOutcome> = if workers <= 1 {
-        run_cooperative(snet_ref, locals, parts, catalog, config, ric_dir_ref, splits_ref)
-    } else if workers < shard_count {
-        run_pooled(snet_ref, locals, parts, catalog, config, ric_dir_ref, splits_ref, workers)
-    } else {
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = locals
-                .into_iter()
-                .zip(parts)
-                .map(|(local, part)| {
-                    scope.spawn(move || {
-                        run_worker(snet_ref, local, part, catalog, config, ric_dir_ref, splits_ref)
-                    })
+    let outcomes: Vec<WorkerOutcome> = std::thread::scope(|scope| {
+        let handles: Vec<_> = locals
+            .into_iter()
+            .zip(parts)
+            .map(|(local, part)| {
+                scope.spawn(move || {
+                    run_worker(snet_ref, local, part, catalog, config, ric_dir_ref, splits_ref)
                 })
-                .collect();
-            handles.into_iter().map(|h| h.join().expect("shard worker must not panic")).collect()
-        })
-    };
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().expect("shard worker must not panic")).collect()
+    });
 
     let final_clock = snet.final_clock();
     drop(snet);

@@ -54,12 +54,7 @@ fn attr_value<'a>(
 }
 
 /// Whether a combination satisfies every conjunct of `query`.
-fn satisfies(
-    catalog: &Catalog,
-    query: &JoinQuery,
-    relations: &[Name],
-    combo: &[&Tuple],
-) -> bool {
+fn satisfies(catalog: &Catalog, query: &JoinQuery, relations: &[Name], combo: &[&Tuple]) -> bool {
     query.conjuncts().iter().all(|conjunct| match conjunct {
         Conjunct::JoinEq(a, b) => {
             attr_value(catalog, relations, combo, &a.relation, &a.attribute)

@@ -3,14 +3,13 @@
 //! the centralized windowed oracle's — under every driver the
 //! `RJOIN_SHARDS` matrix selects, under graceful churn, and byte-identical
 //! across shard counts. The suite also pins the two-plan cost model
-//! (acyclic stays on the rewrite pipeline) and the fail-fast
-//! `CyclicShape` rejection when the hypercube planner is disabled.
+//! (acyclic stays on the rewrite pipeline).
 
 mod common;
 
 use common::{shard_counts, sorted, windowed_oracle_answers};
-use rjoin_core::{EngineConfig, EngineError, QueryId, RJoinEngine};
-use rjoin_query::{parse_query, QueryError};
+use rjoin_core::{EngineConfig, QueryId, RJoinEngine};
+use rjoin_query::parse_query;
 use rjoin_relation::{Timestamp, Tuple, Value};
 use rjoin_workload::Scenario;
 
@@ -238,32 +237,6 @@ fn cyclic_answers_survive_churn() {
     for shards in shard_counts() {
         check_against_oracle(&scenario, shards, true);
     }
-}
-
-/// Satellite regression: with the hypercube planner disabled, submitting a
-/// cyclic query fails fast with `QueryError::CyclicShape` instead of
-/// entering a rewrite pipeline that cannot finish; acyclic queries are
-/// unaffected.
-#[test]
-fn cyclic_shape_is_rejected_when_planner_disabled() {
-    let scenario = Scenario::cyclic_test();
-    let catalog = scenario.workload_schema().build_catalog();
-    let config = EngineConfig::default().with_hypercube_planner(false);
-    let mut engine = RJoinEngine::simulated(config, catalog, scenario.nodes);
-    let origin = engine.node_ids()[0];
-
-    let triangle = scenario.generate_queries().remove(0);
-    let err = engine.submit_query(origin, triangle).unwrap_err();
-    assert!(
-        matches!(err, EngineError::Query(QueryError::CyclicShape)),
-        "expected CyclicShape, got {err:?}"
-    );
-    assert_eq!(engine.planner_counters().hypercube_plans, 0);
-
-    // Acyclic submissions still go through on the pipeline.
-    let chain = parse_query("SELECT R0.A1, R1.A1 FROM R0, R1 WHERE R0.A0 = R1.A0").unwrap();
-    engine.submit_query(origin, chain).unwrap();
-    assert_eq!(engine.planner_counters().pipeline_plans, 1);
 }
 
 /// The cost model's two legs, observable through the planner counters: an

@@ -4,10 +4,14 @@
 //! [`ShardedNetwork`] partitions the ring's nodes into `n` **shards** by
 //! contiguous ring-identifier range. Each shard owns its own constant-δ
 //! [`BucketQueue`], its own local virtual clock and its own traffic buffer,
-//! and is driven by one persistent worker thread. Intra-shard messages are
-//! scheduled straight into the shard's own queue; cross-shard messages go
-//! through a per-shard inbox (the outbox/inbox exchange) and lower the
-//! receiving shard's published event watermark.
+//! and is driven by one persistent worker thread, whatever the shard count
+//! or the host's core count. Intra-shard messages are scheduled straight
+//! into the shard's own queue; cross-shard messages go through a per-shard
+//! inbox (the outbox/inbox exchange) and lower the receiving shard's
+//! published event watermark.
+//! A worker with nothing safe to process spins briefly and then parks on a
+//! shared progress condvar, so shards that outnumber the cores (down to a
+//! single core) time-slice without stalling the protocol.
 //!
 //! # The watermark protocol
 //!
@@ -246,9 +250,6 @@ pub struct ShardedNetwork<'a, M> {
     inflight: AtomicU64,
     max_now: AtomicU64,
     aborted: AtomicBool,
-    /// Set by the cooperative (single-threaded) scheduler: nobody ever
-    /// sleeps on the progress condvar, so wakeups are skipped entirely.
-    cooperative: AtomicBool,
     progress: Mutex<u64>,
     progress_cv: Condvar,
     locals: Vec<Option<ShardLocal<M>>>,
@@ -283,7 +284,6 @@ impl<'a, M> ShardedNetwork<'a, M> {
             inflight: AtomicU64::new(0),
             max_now: AtomicU64::new(floor),
             aborted: AtomicBool::new(false),
-            cooperative: AtomicBool::new(false),
             progress: Mutex::new(0),
             progress_cv: Condvar::new(),
             locals: (0..n)
@@ -356,20 +356,11 @@ impl<'a, M> ShardedNetwork<'a, M> {
     }
 
     /// Whether the run was aborted.
-    pub fn is_aborted(&self) -> bool {
+    fn is_aborted(&self) -> bool {
         self.aborted.load(Ordering::SeqCst)
     }
 
-    /// Declares that a single thread drives every shard (the cooperative
-    /// scheduler): condvar wakeups become no-ops.
-    pub fn set_cooperative(&self, on: bool) {
-        self.cooperative.store(on, Ordering::SeqCst);
-    }
-
     fn bump(&self) {
-        if self.cooperative.load(Ordering::Relaxed) {
-            return;
-        }
         let mut gen = self.progress.lock().expect("progress lock");
         *gen = gen.wrapping_add(1);
         self.progress_cv.notify_all();
@@ -404,16 +395,6 @@ impl<'a, M> ShardedNetwork<'a, M> {
 
     fn global_min_low(&self) -> u64 {
         self.sync.iter().map(|s| s.low.load(Ordering::SeqCst)).min().unwrap_or(u64::MAX)
-    }
-
-    /// Publishes that *every* shard's handlers have run through tick `t`.
-    /// Called by the cooperative scheduler after it finished tick `t`'s
-    /// handler phase on every shard, so effect-phase remote reads never
-    /// block (there is no second thread to unblock them).
-    pub fn mark_all_handled(&self, t: SimTime) {
-        for sync in &self.sync {
-            sync.handled_through.fetch_max(t, Ordering::SeqCst);
-        }
     }
 }
 
@@ -481,35 +462,6 @@ impl<'n, 'a, M> ShardHandle<'n, 'a, M> {
                 return;
             }
         }
-    }
-
-    /// The arrival time of this shard's earliest pending delivery (after
-    /// draining the inbox), or `None` when the shard is empty. Used by the
-    /// cooperative single-threaded scheduler.
-    pub fn next_event_time(&mut self) -> Option<SimTime> {
-        self.sync_low();
-        self.local.queue.next_time()
-    }
-
-    /// Pops this shard's next bucket **iff** it is scheduled exactly at
-    /// `tick`, without any watermark waiting — the cooperative scheduler
-    /// has already established that `tick` is the global minimum, which is
-    /// a stronger guarantee than the watermark rule. The inbox is *not*
-    /// re-drained: the scheduler runs on one thread and has already synced
-    /// via [`next_event_time`](Self::next_event_time) this round, and no
-    /// send can have happened since. Returns the floor-clamped clock and
-    /// the lineage-sorted deliveries.
-    pub fn try_take_tick(&mut self, tick: SimTime) -> Option<(SimTime, Vec<ShardDelivery<M>>)> {
-        if self.local.queue.next_time() != Some(tick) {
-            return None;
-        }
-        let (at, bucket) = self.local.queue.pop_bucket().expect("next_time returned Some");
-        debug_assert_eq!(at, tick);
-        let deliveries = sort_by_lineage(bucket);
-        self.local.clock = self.local.clock.max(tick);
-        self.local.ticks += 1;
-        self.local.deliveries += deliveries.len() as u64;
-        Some((self.local.clock, deliveries))
     }
 
     /// Blocks until the next safe tick for this shard, global quiescence, or

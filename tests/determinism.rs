@@ -148,10 +148,11 @@ fn run_observables(scenario: &Scenario, config: EngineConfig, shards: usize) -> 
 }
 
 /// The sharded event-queue runtime is **byte-identical across shard counts
-/// {1, 2, 4, 8}** — answers, QPL (total and per node), traffic (total and
-/// per node) and the delivered-row multiset all match exactly, with shard
-/// count 1 being the single-queue drain — and the answers are exactly the
-/// centralized oracle's.
+/// {1, 2, 4, 8, 16}** — answers, QPL (total and per node), traffic (total
+/// and per node) and the delivered-row multiset all match exactly, with
+/// shard count 1 being the single-queue drain — and the answers are exactly
+/// the centralized oracle's. Sixteen shard threads outnumber the cores of
+/// any CI host, so the list also covers the oversubscribed case.
 ///
 /// The config pins down the two legitimate sources of divergence so the
 /// identity is exact: `FirstInClause` placement consumes no randomness
@@ -170,7 +171,7 @@ fn sharded_driver_is_byte_identical_across_shard_counts() {
     check_oracle(&scenario, &single_queue, true);
     let reference = observables(&single_queue);
     assert!(reference.0 > 0, "the determinism scenario should produce answers");
-    for shards in [2usize, 4, 8] {
+    for shards in [2usize, 4, 8, 16] {
         let sharded = run_observables(&scenario, config(), shards);
         assert_eq!(
             reference, sharded,
@@ -191,7 +192,7 @@ fn sharded_default_config_agrees_across_shard_counts() {
     check_oracle(&scenario, &two_shards, false);
     let reference = observables(&two_shards);
     assert!(reference.0 > 0, "the determinism scenario should produce answers");
-    for shards in [2usize, 4, 8] {
+    for shards in [2usize, 4, 8, 16] {
         let run_a = run_observables(&scenario, EngineConfig::default(), shards);
         let run_b = run_observables(&scenario, EngineConfig::default(), shards);
         assert_eq!(run_a, run_b, "repeated sharded runs at {shards} shards must be identical");
@@ -215,21 +216,6 @@ fn with_shards_one_is_the_sequential_driver() {
     assert_eq!(one_shard.0.shard_runtime_stats().drains, 0);
     assert!(!one_shard.0.answers().is_empty(), "the determinism scenario should produce answers");
     check_oracle(&scenario, &one_shard, false);
-}
-
-/// The worker count is purely an execution choice: a 4-shard drain produces
-/// byte-identical observables whether it runs on the cooperative scheduler
-/// (1 worker), the pooled phase-parallel scheduler (2 or 3 workers — fewer
-/// workers than shards) or one persistent thread per shard (4 workers).
-#[test]
-fn worker_count_never_changes_sharded_results() {
-    let scenario = test_scenario();
-    let reference = run_observables(&scenario, EngineConfig::default().with_workers(1), 4);
-    assert!(reference.0 > 0, "the determinism scenario should produce answers");
-    for workers in [2usize, 3, 4, 16] {
-        let run = run_observables(&scenario, EngineConfig::default().with_workers(workers), 4);
-        assert_eq!(reference, run, "worker count {workers} must not change any observable");
-    }
 }
 
 /// Different seeds produce observably different workloads (sanity check that
